@@ -128,125 +128,6 @@ pub fn segment_bounds(data: &[f32], counts: &[usize], elems_per_unit: usize) -> 
     out
 }
 
-/// Exponential-moving-average range tracker for *training-time*
-/// calibration.
-///
-/// The paper's transformed graph "is suitable for the inference as well as
-/// training because the minimum and maximum values of the input tensors
-/// are determined once per a batch". During training, frameworks smooth
-/// those per-batch observations with an EMA so the deployed quantization
-/// range is stable; this tracker implements that smoothing.
-///
-/// Deprecated: nothing on the inference/serving path consumes EMA-smoothed
-/// ranges — per-batch (now per-segment) observation is what keeps served
-/// outputs bit-identical to solo inference, and no training loop exists in
-/// this repository to feed the smoothing. The type is kept (hidden) so
-/// downstream calibration experiments don't break, with its behavior
-/// pinned by tests, but it is not part of the documented API.
-#[deprecated(
-    since = "0.7.0",
-    note = "unused on the inference path; per-segment observation (see \
-            `segment_bounds`) is the supported range resolution"
-)]
-#[doc(hidden)]
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct EmaRangeTracker {
-    momentum: f32,
-    min: Option<f32>,
-    max: Option<f32>,
-}
-
-#[allow(deprecated)]
-impl EmaRangeTracker {
-    /// Create with the given momentum (the weight of the *old* estimate;
-    /// TensorFlow's default is 0.99).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0.0 <= momentum < 1.0`.
-    #[must_use]
-    pub fn new(momentum: f32) -> Self {
-        assert!((0.0..1.0).contains(&momentum), "momentum in [0, 1)");
-        EmaRangeTracker {
-            momentum,
-            min: None,
-            max: None,
-        }
-    }
-
-    /// Fold in one batch's observed `(min, max)`.
-    pub fn observe_batch(&mut self, min: f32, max: f32) {
-        let m = self.momentum;
-        self.min = Some(match self.min {
-            Some(old) => m * old + (1.0 - m) * min,
-            None => min,
-        });
-        self.max = Some(match self.max {
-            Some(old) => m * old + (1.0 - m) * max,
-            None => max,
-        });
-    }
-
-    /// The smoothed `(min, max)`, or `(0, 0)` before any observation.
-    #[must_use]
-    pub fn bounds(&self) -> (f32, f32) {
-        (self.min.unwrap_or(0.0), self.max.unwrap_or(0.0))
-    }
-}
-
-/// Behavior pin for the deprecated [`EmaRangeTracker`]: deprecation hides
-/// it from the documented API but must not change what it computes.
-#[cfg(test)]
-#[allow(deprecated)]
-mod ema_tests {
-    use super::*;
-
-    #[test]
-    fn first_batch_initializes() {
-        let mut t = EmaRangeTracker::new(0.9);
-        t.observe_batch(-2.0, 3.0);
-        assert_eq!(t.bounds(), (-2.0, 3.0));
-    }
-
-    #[test]
-    fn smoothing_dampens_outliers() {
-        let mut t = EmaRangeTracker::new(0.9);
-        t.observe_batch(-1.0, 1.0);
-        t.observe_batch(-100.0, 100.0); // outlier batch
-        let (lo, hi) = t.bounds();
-        assert!(lo > -15.0 && hi < 15.0, "outlier dominated: ({lo}, {hi})");
-    }
-
-    #[test]
-    fn converges_to_stationary_range() {
-        let mut t = EmaRangeTracker::new(0.5);
-        for _ in 0..30 {
-            t.observe_batch(-4.0, 4.0);
-        }
-        let (lo, hi) = t.bounds();
-        assert!((lo + 4.0).abs() < 1e-3);
-        assert!((hi - 4.0).abs() < 1e-3);
-    }
-
-    #[test]
-    #[should_panic(expected = "momentum")]
-    fn momentum_validated() {
-        let _ = EmaRangeTracker::new(1.0);
-    }
-
-    #[test]
-    fn deprecated_type_arithmetic_is_pinned_exactly() {
-        // The deprecation must not change a single bit of the smoothing:
-        // m·old + (1−m)·new in f32, min and max independently.
-        let mut t = EmaRangeTracker::new(0.75);
-        t.observe_batch(-2.0, 2.0);
-        t.observe_batch(-4.0, 6.0);
-        let (lo, hi) = t.bounds();
-        assert_eq!(lo, 0.75f32 * -2.0 + 0.25f32 * -4.0);
-        assert_eq!(hi, 0.75f32 * 2.0 + 0.25f32 * 6.0);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

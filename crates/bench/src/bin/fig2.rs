@@ -142,7 +142,7 @@ fn main() {
             // variant through the backend API directly is internal, so
             // emulate by timing the full emulated path (compile + infer —
             // session compilation builds the filter plans eagerly, which
-            // the legacy lazy path charged to the first forward, so it
+            // a standalone layer charges to its first forward, so it
             // must stay inside the timed region for comparability) vs
             // the accurate float graph.
             let t = std::time::Instant::now();

@@ -9,10 +9,11 @@
 //! 16-bit value. The results ... are accumulated in a 32-bit floating point
 //! accumulator."
 //!
-//! The filter matrix is quantized on the fly ("multiplied by the matrix of
-//! filters (which are quantized at the same time)") and the final step
-//! applies the Eq. 4 dequantization correction with the precomputed `Sp`
-//! and `Sf` sums.
+//! The paper quantizes the filter matrix on the fly ("multiplied by the
+//! matrix of filters (which are quantized at the same time)"); here the
+//! caller quantizes each filter bank once and passes its bytes in. The
+//! final step applies the Eq. 4 dequantization correction with the
+//! precomputed `Sp` and `Sf` sums.
 
 use super::{KernelRun, GEMM_TILE};
 use crate::{EventCounts, Phase, TextureCache};
@@ -20,83 +21,19 @@ use axmult::{MulLut, Signedness};
 use axquant::{FilterQuantization, QuantParams};
 use axtensor::{Matrix, TensorError};
 
-/// Quantization parameters of both GEMM operands.
-#[derive(Debug, Clone)]
-pub struct GemmQuant {
-    /// Input (patch matrix) quantization — `α₁`, `β₁`.
-    pub input: QuantParams,
-    /// Filter quantization — `α₂`, `β₂`, per-tensor or per-channel.
-    pub filter: FilterQuantization,
-}
-
-/// Run the approximate GEMM: `Mp (rows×K, u8)` × `filter (K×c_out, f32)`.
+/// Run the approximate GEMM: `Mp (rows×K, u8)` × a **pre-quantized**
+/// filter operand (`K × c_out`).
 ///
 /// `sp` must hold the per-row logical quantized sums (`Σ ī`) produced by
-/// the im2col kernel. The filter matrix arrives in f32 and is quantized
-/// inside the kernel; its per-column sums `Sf` are computed on the fly.
-/// Every 8×8 multiplication is emulated by a fetch from `lut` through the
-/// texture `cache`.
+/// the im2col kernel. The caller supplies the filter's byte matrix
+/// (`K × c_out`, row-major), its per-column logical sums `Sf`, and the
+/// per-column quantization parameters; no filter quantization work (real
+/// or modeled) happens inside the kernel, so repeated GEMMs against the
+/// same filter bank pay for its quantization exactly once (when the
+/// caller prepares it). Every 8×8 multiplication is emulated by a fetch
+/// from `lut` through the texture `cache`.
 ///
 /// Returns the dequantized f32 output matrix (`rows × c_out`).
-///
-/// # Errors
-///
-/// Returns [`TensorError::MatrixDims`] if `K` differs between `Mp` and the
-/// filter matrix, or [`TensorError::LengthMismatch`] if `sp` has the wrong
-/// length.
-pub fn approx_gemm(
-    mp: &Matrix<u8>,
-    sp: &[i64],
-    filter: &Matrix<f32>,
-    quant: &GemmQuant,
-    lut: &MulLut,
-    cache: &mut TextureCache,
-) -> Result<KernelRun<Matrix<f32>>, TensorError> {
-    let k = mp.cols();
-    if filter.rows() != k {
-        return Err(TensorError::MatrixDims {
-            left_cols: k,
-            right_rows: filter.rows(),
-        });
-    }
-    let c_out = filter.cols();
-
-    // --- Filter quantization (+ Sf column sums), charged to Quantization.
-    // Per-channel quantization uses a distinct (α₂, β₂) per column.
-    let col_q: Vec<QuantParams> = (0..c_out).map(|c| quant.filter.for_channel(c)).collect();
-    let mut filter_bytes = vec![0u8; k * c_out];
-    let mut sf = vec![0i64; c_out];
-    for r in 0..k {
-        for c in 0..c_out {
-            let q = col_q[c].quantize(filter.at(r, c));
-            filter_bytes[r * c_out + c] = (q & 0xFF) as u8;
-            sf[c] += i64::from(q);
-        }
-    }
-    let mut quant_ev = EventCounts::new();
-    quant_ev.quant_ops = (k * c_out) as u64;
-    quant_ev.global_read_bytes = (k * c_out) as u64 * 4;
-
-    let mut run =
-        approx_gemm_prepared(mp, sp, &filter_bytes, &sf, &col_q, quant.input, lut, cache)?;
-    // Fold the on-the-fly filter quantization into the kernel's
-    // Quantization events so the unprepared path accounts identically to
-    // the pre-refactor kernel.
-    for (phase, ev) in &mut run.events {
-        if *phase == Phase::Quantization {
-            *ev += quant_ev;
-        }
-    }
-    Ok(run)
-}
-
-/// [`approx_gemm`] with a **pre-quantized** filter operand — the prepared
-/// execution path. The caller supplies the filter's byte matrix
-/// (`k × c_out`, row-major, same layout as the f32 filter matrix), its
-/// per-column logical sums `Sf`, and the per-column quantization
-/// parameters; no filter quantization work (real or modeled) happens
-/// inside the kernel, so repeated GEMMs against the same filter bank pay
-/// for its quantization exactly once (at preparation time).
 ///
 /// # Errors
 ///
@@ -104,7 +41,7 @@ pub fn approx_gemm(
 /// rows, if `sf`/`col_q` disagree in length, or if `f_bytes` is not
 /// `K × c_out`.
 #[allow(clippy::too_many_arguments)]
-pub fn approx_gemm_prepared(
+pub fn approx_gemm(
     mp: &Matrix<u8>,
     sp: &[i64],
     f_bytes: &[u8],
@@ -136,7 +73,6 @@ pub fn approx_gemm_prepared(
     }
     let rows = mp.rows();
     let signed = lut.signedness();
-    let filter_bytes = f_bytes;
     let mut quant_ev = EventCounts::new();
 
     // --- Tiled multiplication.
@@ -173,7 +109,7 @@ pub fn approx_gemm_prepared(
                         let mut local = acc[r - r0][c - c0];
                         for kk in k0..k1 {
                             let av = mp.at(r, kk);
-                            let bv = filter_bytes[kk * c_out + c];
+                            let bv = f_bytes[kk * c_out + c];
                             // Stitched 16-bit index, fetched through the
                             // texture cache.
                             let index = (u32::from(bv) << 8) | u32::from(av);
@@ -225,17 +161,20 @@ pub fn approx_gemm_prepared(
     })
 }
 
-/// Reference implementation of the same computation with exact integer
-/// arithmetic and `i64` accumulators — the golden model `approx_gemm` is
-/// validated against when given an exact LUT.
+/// Reference implementation of the same computation from the f32 filter
+/// matrix, with exact integer arithmetic and `i64` accumulators — the
+/// golden model [`approx_gemm`] is validated against when given an exact
+/// LUT.
 ///
 /// # Errors
 ///
-/// Same conditions as [`approx_gemm`].
+/// Returns [`TensorError::MatrixDims`] if `K` differs between `Mp` and the
+/// filter matrix.
 pub fn reference_quantized_gemm(
     mp: &Matrix<u8>,
     filter: &Matrix<f32>,
-    quant: &GemmQuant,
+    input_q: QuantParams,
+    filter_q: &FilterQuantization,
     signedness: Signedness,
 ) -> Result<Matrix<f32>, TensorError> {
     let k = mp.cols();
@@ -253,13 +192,13 @@ pub fn reference_quantized_gemm(
             Signedness::Unsigned => i64::from(byte),
         }
     };
-    let b1 = i64::from(quant.input.zero_point());
+    let b1 = i64::from(input_q.zero_point());
     let mut out = Matrix::<f32>::zeros(rows, c_out);
     for r in 0..rows {
         for c in 0..c_out {
-            let q2 = quant.filter.for_channel(c);
+            let q2 = filter_q.for_channel(c);
             let b2 = i64::from(q2.zero_point());
-            let a1a2 = f64::from(quant.input.scale()) * f64::from(q2.scale());
+            let a1a2 = f64::from(input_q.scale()) * f64::from(q2.scale());
             let mut acc = 0i64;
             for kk in 0..k {
                 let i = decode(mp.at(r, kk));
@@ -280,12 +219,55 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    fn quant_pair() -> GemmQuant {
-        GemmQuant {
-            input: QuantParams::from_range(-1.0, 1.0, QuantRange::i8(), RoundMode::NearestEven),
-            filter: QuantParams::from_range(-0.5, 0.5, QuantRange::i8(), RoundMode::NearestEven)
-                .into(),
+    fn input_q() -> QuantParams {
+        QuantParams::from_range(-1.0, 1.0, QuantRange::i8(), RoundMode::NearestEven)
+    }
+
+    fn filter_q() -> FilterQuantization {
+        QuantParams::from_range(-0.5, 0.5, QuantRange::i8(), RoundMode::NearestEven).into()
+    }
+
+    /// The kernel's filter operand: `filter` quantized under `fq` into
+    /// bytes, column sums `Sf` and per-column parameters.
+    struct QuantFilter {
+        bytes: Vec<u8>,
+        sf: Vec<i64>,
+        col_q: Vec<QuantParams>,
+    }
+
+    fn quantize_filter(filter: &Matrix<f32>, fq: &FilterQuantization) -> QuantFilter {
+        let (k, c_out) = (filter.rows(), filter.cols());
+        let col_q = fq.resolve(c_out);
+        let mut bytes = vec![0u8; k * c_out];
+        let mut sf = vec![0i64; c_out];
+        for r in 0..k {
+            for c in 0..c_out {
+                let q = col_q[c].quantize(filter.at(r, c));
+                bytes[r * c_out + c] = (q & 0xFF) as u8;
+                sf[c] += i64::from(q);
+            }
         }
+        QuantFilter { bytes, sf, col_q }
+    }
+
+    fn run(
+        mp: &Matrix<u8>,
+        sp: &[i64],
+        filter: &QuantFilter,
+        input_q: QuantParams,
+        lut: &MulLut,
+        cache: &mut TextureCache,
+    ) -> Result<KernelRun<Matrix<f32>>, TensorError> {
+        approx_gemm(
+            mp,
+            sp,
+            &filter.bytes,
+            &filter.sf,
+            &filter.col_q,
+            input_q,
+            lut,
+            cache,
+        )
     }
 
     fn random_case(
@@ -295,13 +277,13 @@ mod tests {
         seed: u64,
     ) -> (Matrix<u8>, Vec<i64>, Matrix<f32>) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let q = quant_pair();
+        let q = input_q();
         let mut mp = vec![0u8; rows * k];
         let mut sp = vec![0i64; rows];
         for r in 0..rows {
             for kk in 0..k {
                 let v: f32 = rng.gen_range(-1.0..1.0);
-                let qi = q.input.quantize(v);
+                let qi = q.quantize(v);
                 mp[r * k + kk] = (qi & 0xFF) as u8;
                 sp[r] += i64::from(qi);
             }
@@ -322,13 +304,15 @@ mod tests {
     #[test]
     fn exact_lut_matches_integer_reference() {
         let (mp, sp, filter) = random_case(20, 27, 5, 3);
-        let q = quant_pair();
+        let fq = filter_q();
         let lut = MulLut::exact(Signedness::Signed);
-        let run = approx_gemm(&mp, &sp, &filter, &q, &lut, &mut fresh_cache()).unwrap();
-        let reference = reference_quantized_gemm(&mp, &filter, &q, Signedness::Signed).unwrap();
+        let qf = quantize_filter(&filter, &fq);
+        let out = run(&mp, &sp, &qf, input_q(), &lut, &mut fresh_cache()).unwrap();
+        let reference =
+            reference_quantized_gemm(&mp, &filter, input_q(), &fq, Signedness::Signed).unwrap();
         for r in 0..20 {
             for c in 0..5 {
-                let a = run.output.at(r, c);
+                let a = out.output.at(r, c);
                 let b = reference.at(r, c);
                 assert!(
                     (a - b).abs() <= 1e-3 * b.abs().max(1.0),
@@ -342,15 +326,16 @@ mod tests {
     fn eq4_correction_cancels_zero_points() {
         // All-zero input must produce an exactly-zero output regardless of
         // the zero-point, because real 0 is exactly representable.
-        let q = quant_pair();
+        let q = input_q();
         let k = 9;
-        let zero_byte = (q.input.quantize(0.0) & 0xFF) as u8;
+        let zero_byte = (q.quantize(0.0) & 0xFF) as u8;
         let mp = Matrix::from_vec(4, k, vec![zero_byte; 4 * k]).unwrap();
-        let sp = vec![i64::from(q.input.quantize(0.0)) * k as i64; 4];
+        let sp = vec![i64::from(q.quantize(0.0)) * k as i64; 4];
         let filter = Matrix::from_vec(k, 3, vec![0.25f32; k * 3]).unwrap();
+        let qf = quantize_filter(&filter, &filter_q());
         let lut = MulLut::exact(Signedness::Signed);
-        let run = approx_gemm(&mp, &sp, &filter, &q, &lut, &mut fresh_cache()).unwrap();
-        for &v in run.output.as_slice() {
+        let out = run(&mp, &sp, &qf, q, &lut, &mut fresh_cache()).unwrap();
+        for &v in out.output.as_slice() {
             assert!(v.abs() < 1e-5, "expected 0, got {v}");
         }
     }
@@ -358,144 +343,71 @@ mod tests {
     #[test]
     fn lut_fetch_count_equals_mac_count() {
         let (mp, sp, filter) = random_case(10, 18, 4, 7);
-        let q = quant_pair();
+        let qf = quantize_filter(&filter, &filter_q());
         let lut = MulLut::exact(Signedness::Signed);
-        let run = approx_gemm(&mp, &sp, &filter, &q, &lut, &mut fresh_cache()).unwrap();
+        let out = run(&mp, &sp, &qf, input_q(), &lut, &mut fresh_cache()).unwrap();
         let macs = 10 * 18 * 4;
-        assert_eq!(run.total_events().tex_fetches(), macs as u64);
-        assert_eq!(run.total_events().fma_ops, macs as u64);
+        assert_eq!(out.total_events().tex_fetches(), macs as u64);
+        assert_eq!(out.total_events().fma_ops, macs as u64);
+        // The kernel models no filter quantization: its Quantization
+        // events cover only the dequantization writes.
+        assert_eq!(out.total_events().quant_ops, 10 * 4);
     }
 
     #[test]
     fn warm_cache_hits_dominate() {
         let (mp, sp, filter) = random_case(64, 36, 16, 11);
-        let q = quant_pair();
+        let qf = quantize_filter(&filter, &filter_q());
         let lut = MulLut::exact(Signedness::Signed);
         let mut cache = fresh_cache();
         // Warm-up pass.
-        let _ = approx_gemm(&mp, &sp, &filter, &q, &lut, &mut cache).unwrap();
-        let run = approx_gemm(&mp, &sp, &filter, &q, &lut, &mut cache).unwrap();
-        let ev = run.total_events();
+        let _ = run(&mp, &sp, &qf, input_q(), &lut, &mut cache).unwrap();
+        let out = run(&mp, &sp, &qf, input_q(), &lut, &mut cache).unwrap();
+        let ev = out.total_events();
         let rate = ev.tex_hits as f64 / ev.tex_fetches() as f64;
         assert!(rate > 0.5, "hit rate {rate}");
     }
 
     #[test]
-    fn prepared_matches_unprepared_bit_for_bit() {
-        let (mp, sp, filter) = random_case(17, 27, 6, 21);
-        let q = quant_pair();
-        let lut = MulLut::exact(Signedness::Signed);
-        let unprepared = approx_gemm(&mp, &sp, &filter, &q, &lut, &mut fresh_cache()).unwrap();
-
-        // Quantize the filter up front exactly as approx_gemm does.
-        let k = filter.rows();
-        let c_out = filter.cols();
-        let col_q: Vec<QuantParams> = (0..c_out).map(|c| q.filter.for_channel(c)).collect();
-        let mut f_bytes = vec![0u8; k * c_out];
-        let mut sf = vec![0i64; c_out];
-        for r in 0..k {
-            for c in 0..c_out {
-                let qv = col_q[c].quantize(filter.at(r, c));
-                f_bytes[r * c_out + c] = (qv & 0xFF) as u8;
-                sf[c] += i64::from(qv);
-            }
-        }
-        let prepared = approx_gemm_prepared(
-            &mp,
-            &sp,
-            &f_bytes,
-            &sf,
-            &col_q,
-            q.input,
-            &lut,
-            &mut fresh_cache(),
-        )
-        .unwrap();
-        assert_eq!(prepared.output, unprepared.output);
-        // The prepared kernel performs and models no filter quantization:
-        // its Quantization events cover only the dequantization writes.
-        let filter_quant_ops = (k * c_out) as u64;
-        assert_eq!(
-            prepared.total_events().quant_ops + filter_quant_ops,
-            unprepared.total_events().quant_ops
-        );
-        assert_eq!(
-            prepared.total_events().global_read_bytes + filter_quant_ops * 4,
-            unprepared.total_events().global_read_bytes
-        );
-    }
-
-    #[test]
-    fn prepared_validates_operand_sizes() {
-        let q = quant_pair();
+    fn validates_operand_sizes() {
+        let q = input_q();
         let lut = MulLut::exact(Signedness::Signed);
         let mp = Matrix::from_vec(2, 3, vec![0u8; 6]).unwrap();
-        let col_q = vec![q.input; 2];
+        let col_q = vec![q; 2];
         let sf = vec![0i64; 2];
-        // Wrong f_bytes length.
-        let err = approx_gemm_prepared(
-            &mp,
-            &[0, 0],
-            &[0u8; 5],
-            &sf,
-            &col_q,
-            q.input,
-            &lut,
-            &mut fresh_cache(),
-        )
-        .unwrap_err();
-        assert!(matches!(err, TensorError::LengthMismatch { .. }));
+        let mut cache = fresh_cache();
+        // Wrong f_bytes length (a filter whose K differs from Mp's).
+        let err = approx_gemm(&mp, &[0, 0], &[0u8; 8], &sf, &col_q, q, &lut, &mut cache);
+        assert!(matches!(err, Err(TensorError::LengthMismatch { .. })));
         // col_q / sf disagreement.
-        let err = approx_gemm_prepared(
+        let err = approx_gemm(
             &mp,
             &[0, 0],
             &[0u8; 6],
             &sf,
             &col_q[..1],
-            q.input,
+            q,
             &lut,
-            &mut fresh_cache(),
-        )
-        .unwrap_err();
-        assert!(matches!(err, TensorError::LengthMismatch { .. }));
-    }
-
-    #[test]
-    fn dimension_mismatch_rejected() {
-        let q = quant_pair();
-        let lut = MulLut::exact(Signedness::Signed);
-        let mp = Matrix::from_vec(2, 3, vec![0u8; 6]).unwrap();
-        let filter = Matrix::from_vec(4, 2, vec![0f32; 8]).unwrap();
-        let err = approx_gemm(&mp, &[0, 0], &filter, &q, &lut, &mut fresh_cache()).unwrap_err();
-        assert!(matches!(err, TensorError::MatrixDims { .. }));
-    }
-
-    #[test]
-    fn sp_length_checked() {
-        let q = quant_pair();
-        let lut = MulLut::exact(Signedness::Signed);
-        let mp = Matrix::from_vec(2, 3, vec![0u8; 6]).unwrap();
-        let filter = Matrix::from_vec(3, 2, vec![0f32; 6]).unwrap();
-        let err = approx_gemm(&mp, &[0], &filter, &q, &lut, &mut fresh_cache()).unwrap_err();
-        assert!(matches!(err, TensorError::LengthMismatch { .. }));
+            &mut cache,
+        );
+        assert!(matches!(err, Err(TensorError::LengthMismatch { .. })));
+        // Sp of the wrong length.
+        let err = approx_gemm(&mp, &[0], &[0u8; 6], &sf, &col_q, q, &lut, &mut cache);
+        assert!(matches!(err, Err(TensorError::LengthMismatch { .. })));
     }
 
     #[test]
     fn truncated_lut_biases_output_down() {
         // With an under-estimating multiplier and all-positive logical
         // operands, outputs must not exceed the exact ones.
-        let q = GemmQuant {
-            input: QuantParams::from_range(0.0, 1.0, QuantRange::u8(), RoundMode::NearestEven),
-            filter: QuantParams::from_range(0.0, 1.0, QuantRange::u8(), RoundMode::NearestEven)
-                .into(),
-        };
+        let unit = QuantParams::from_range(0.0, 1.0, QuantRange::u8(), RoundMode::NearestEven);
         let k = 9;
         let mut rng = StdRng::seed_from_u64(5);
         let mut mp = vec![0u8; 6 * k];
         let mut sp = vec![0i64; 6];
         for r in 0..6 {
             for kk in 0..k {
-                let qi = q.input.quantize(rng.gen_range(0.0..1.0));
+                let qi = unit.quantize(rng.gen_range(0.0..1.0));
                 mp[r * k + kk] = (qi & 0xFF) as u8;
                 sp[r] += i64::from(qi);
             }
@@ -507,12 +419,13 @@ mod tests {
             (0..k * 2).map(|_| rng.gen_range(0.0f32..1.0)).collect(),
         )
         .unwrap();
+        let qf = quantize_filter(&filter, &unit.into());
         let exact = MulLut::exact(Signedness::Unsigned);
         let trunc = MulLut::from_fn(Signedness::Unsigned, |a, b| {
             axmult::behavioral::result_truncated(a as u32, b as u32, 6) as i32
         });
-        let e = approx_gemm(&mp, &sp, &filter, &q, &exact, &mut fresh_cache()).unwrap();
-        let t = approx_gemm(&mp, &sp, &filter, &q, &trunc, &mut fresh_cache()).unwrap();
+        let e = run(&mp, &sp, &qf, unit, &exact, &mut fresh_cache()).unwrap();
+        let t = run(&mp, &sp, &qf, unit, &trunc, &mut fresh_cache()).unwrap();
         for (a, b) in t.output.as_slice().iter().zip(e.output.as_slice()) {
             assert!(a <= &(b + 1e-4), "approx {a} > exact {b}");
         }

@@ -48,7 +48,7 @@ pub mod texture;
 
 pub use cost::EventCounts;
 pub use device::DeviceConfig;
-pub use kernels::gemm::{approx_gemm, approx_gemm_prepared, GemmQuant};
+pub use kernels::gemm::approx_gemm;
 pub use kernels::im2col::{im2col_quant, PatchSumStrategy};
 pub use profile::{Phase, PhaseProfile};
 pub use texture::{CacheStats, TextureCache};

@@ -10,7 +10,7 @@ use axnn::layers::Conv2D;
 use axnn::NnError;
 use axquant::{FilterQuantization, QuantParams, QuantRange, RoundMode};
 use axtensor::{ops, ConvGeometry, Filter, SegmentTable, Shape4, Tensor};
-use gpusim::{Phase, PhaseProfile};
+use gpusim::PhaseProfile;
 use std::borrow::Cow;
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
@@ -174,16 +174,19 @@ impl AxConv2D {
     /// quantization is borrowed from the plan instead of re-derived via
     /// [`Self::filter_quantization`], which for per-channel layers
     /// rescans every filter tap — per-call work this engine exists to
-    /// hoist. (The prepared backends take the filter side from the plan
-    /// anyway; `spec.filter_q` only has to stay consistent with it.)
-    fn spec_with_plan<'a>(&'a self, plan: &'a PreparedFilter, lo: f32, hi: f32) -> ConvSpec<'a> {
-        let range = self.quant_range();
+    /// hoist. (The runners take the filter side from the plan anyway;
+    /// `spec.filter_q` only has to stay consistent with it.)
+    fn spec_with_plan<'a>(
+        &'a self,
+        plan: &'a PreparedFilter,
+        input_q: QuantParams,
+    ) -> ConvSpec<'a> {
         ConvSpec {
             filter: &self.filter,
             geometry: self.geometry,
             bias: self.bias.as_deref(),
             lut: &self.lut,
-            input_q: QuantParams::from_range(lo, hi, range, self.round),
+            input_q,
             filter_q: Cow::Borrowed(plan.filter_quantization()),
             accumulator: self.accumulator,
         }
@@ -198,18 +201,11 @@ impl AxConv2D {
         let plan = self.plan.get_or_init(|| {
             let t0 = Instant::now();
             let plan = PreparedFilter::from_filter(&self.filter, &self.filter_quantization());
-            let mut profile = PhaseProfile::new();
-            match self.ctx.backend() {
-                Backend::CpuDirect | Backend::CpuGemm => {
-                    profile.add(Phase::Quantization, t0.elapsed().as_secs_f64());
-                }
-                Backend::GpuSim => {
-                    let ev = plan.quant_events();
-                    profile.add(Phase::Quantization, self.ctx.device().seconds(&ev));
-                    self.ctx.record_events(&ev);
-                }
-            }
-            built = Some(profile);
+            built = Some(backend::plan_build_profile(
+                &plan,
+                t0.elapsed().as_secs_f64(),
+                &self.ctx,
+            ));
             Arc::new(plan)
         });
         (Arc::clone(plan), built)
@@ -266,7 +262,7 @@ impl AxConv2D {
     }
 
     /// Convolve with the input range supplied by the caller (the Fig. 1
-    /// `Min`/`Max` scalars).
+    /// `Min`/`Max` scalars): a one-segment [`Self::convolve_segmented`].
     ///
     /// # Errors
     ///
@@ -279,30 +275,7 @@ impl AxConv2D {
         lo: f32,
         hi: f32,
     ) -> Result<Tensor<f32>, EmuError> {
-        backend::validate_range(lo, hi)?;
-        self.validate_filter_weights()?;
-        if input.shape().n == 0 {
-            // Zero images: nothing to compute, so build (and charge)
-            // nothing — in particular not the one-off plan, which would
-            // otherwise make a zero-image run report differently from a
-            // run with no batches at all.
-            let out_shape = self
-                .geometry
-                .output_shape(input.shape(), self.filter.shape())?;
-            return Ok(Tensor::zeros(out_shape));
-        }
-        let (plan, built) = self.plan();
-        let spec = self.spec_with_plan(&plan, lo, hi);
-        let (out, mut profile) = match self.ctx.backend() {
-            Backend::CpuDirect => backend::run_cpu_direct_prepared(input, &spec, &plan, true)?,
-            Backend::CpuGemm => backend::run_cpu_gemm_prepared(input, &spec, &plan, &self.ctx)?,
-            Backend::GpuSim => backend::run_gpusim_prepared(input, &spec, &plan, &self.ctx)?,
-        };
-        if let Some(build_profile) = built {
-            profile.merge(&build_profile);
-        }
-        self.ctx.record(&profile);
-        Ok(out)
+        self.convolve_segmented(input, &[(lo, hi)], &SegmentTable::single(input.shape().n))
     }
 
     /// Convolve, computing the input range internally (standalone use
@@ -316,22 +289,26 @@ impl AxConv2D {
         self.convolve_with_range(input, lo, hi)
     }
 
-    /// Convolve a *fused* multi-request batch, with one input range per
-    /// segment (the segmented Fig. 1 observers' outputs).
+    /// Convolve a batch split into request segments, with one input range
+    /// per segment (the segmented Fig. 1 observers' outputs) — the one
+    /// execution path of the layer; a solo request is one segment.
     ///
-    /// Bit-identical to calling [`Self::convolve_with_range`] on each
-    /// segment alone with its own range and concatenating. On the
-    /// host-GEMM backend the whole batch runs as one segmented GEMM per
-    /// chunk ([`backend::run_cpu_gemm_fused_prepared`]); the other
-    /// backends run per segment and concatenate, which is the identity by
-    /// construction.
+    /// Bit-identical to convolving each segment alone with its own range
+    /// and concatenating. On the host-GEMM backend the whole batch runs as
+    /// one segmented GEMM per chunk ([`backend::run_cpu_gemm_fused`]); the
+    /// other backends run per segment and concatenate, which is the
+    /// identity by construction.
+    ///
+    /// A zero-image batch builds (and charges) nothing — in particular not
+    /// the one-off plan, which would otherwise make a zero-image run report
+    /// differently from a run with no batches at all.
     ///
     /// # Errors
     ///
     /// Returns [`EmuError::Config`] if any segment's range is non-finite
-    /// or inverted, if the segment table does not cover exactly the
-    /// batch, or if `bounds` does not cover exactly the segments;
-    /// propagates shape errors.
+    /// or inverted, if the filter weights are non-finite, if the segment
+    /// table does not cover exactly the batch, or if `bounds` does not
+    /// cover exactly the segments; propagates shape errors.
     pub fn convolve_segmented(
         &self,
         input: &Tensor<f32>,
@@ -356,53 +333,33 @@ impl AxConv2D {
             .geometry
             .output_shape(input.shape(), self.filter.shape())?;
         if n == 0 {
-            // All segments empty: nothing to compute, and — exactly like
-            // the solo zero-image path — no plan is built or charged.
             return Ok(Tensor::zeros(out_shape));
         }
         let (plan, built) = self.plan();
         let range = self.quant_range();
+        let seg_q: Vec<QuantParams> = bounds
+            .iter()
+            .map(|&(lo, hi)| QuantParams::from_range(lo, hi, range, self.round))
+            .collect();
+        // Each runner reads its segments' quantization from `seg_q`; the
+        // spec's own `input_q` only seeds the per-segment copies.
+        let spec = self.spec_with_plan(&plan, seg_q[0]);
         let (out, mut profile) = match self.ctx.backend() {
             Backend::CpuGemm => {
-                let seg_q: Vec<QuantParams> = bounds
-                    .iter()
-                    .map(|&(lo, hi)| QuantParams::from_range(lo, hi, range, self.round))
-                    .collect();
-                // The spec's own input_q is unused by the fused runner;
-                // seed it with segment 0's range for coherence.
-                let spec = self.spec_with_plan(&plan, bounds[0].0, bounds[0].1);
-                backend::run_cpu_gemm_fused_prepared(
-                    input, &spec, &seg_q, segments, &plan, &self.ctx,
-                )?
+                backend::run_cpu_gemm_fused(input, &spec, &seg_q, segments, &plan, &self.ctx)?
             }
             // The nested-loop and simulated-device backends gain nothing
             // from fusion (no shared GEMM to amortize); run the segments
             // back-to-back — the bit-identity baseline itself.
-            Backend::CpuDirect | Backend::GpuSim => {
-                let mut parts: Vec<Tensor<f32>> = Vec::new();
-                let mut profile = PhaseProfile::new();
-                for (s, (start, end)) in segments.iter().enumerate() {
-                    if start == end {
-                        parts.push(Tensor::zeros(Shape4::new(
-                            0,
-                            out_shape.h,
-                            out_shape.w,
-                            out_shape.c,
-                        )));
-                        continue;
-                    }
-                    let piece = input.batch_slice(start, end - start);
-                    let spec = self.spec_with_plan(&plan, bounds[s].0, bounds[s].1);
-                    let (part, part_profile) = match self.ctx.backend() {
-                        Backend::CpuDirect => {
-                            backend::run_cpu_direct_prepared(&piece, &spec, &plan, true)?
-                        }
-                        _ => backend::run_gpusim_prepared(&piece, &spec, &plan, &self.ctx)?,
-                    };
-                    parts.push(part);
-                    profile.merge(&part_profile);
-                }
-                (Tensor::concat_batch(&parts)?, profile)
+            Backend::CpuDirect => {
+                backend::run_per_segment(input, &spec, &seg_q, segments, |piece, spec| {
+                    backend::run_cpu_direct(piece, spec, &plan, true)
+                })?
+            }
+            Backend::GpuSim => {
+                backend::run_per_segment(input, &spec, &seg_q, segments, |piece, spec| {
+                    backend::run_gpusim(piece, spec, &plan, &self.ctx)
+                })?
             }
         };
         if let Some(build_profile) = built {
@@ -483,6 +440,7 @@ impl Layer for AxConv2D {
 mod tests {
     use super::*;
     use axtensor::{rng, FilterShape};
+    use gpusim::Phase;
 
     fn make(backend: Backend, lut: MulLut) -> (AxConv2D, Tensor<f32>) {
         let filter = rng::uniform_filter(FilterShape::new(3, 3, 3, 4), 2, -0.5, 0.5);

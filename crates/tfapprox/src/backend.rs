@@ -2,30 +2,31 @@
 //!
 //! All backends compute the same function — the quantized convolution of
 //! Eq. 4 with products taken from the multiplier LUT — and are
-//! cross-validated in tests. They differ in *how*:
+//! cross-validated in tests. Every runner consumes a [`PreparedFilter`]
+//! plan (all layer-invariant quantization hoisted out), which
+//! [`crate::AxConv2D`] builds once and caches; the runners differ in
+//! *how* they compute:
 //!
 //! - [`run_cpu_direct`]: nested loops (ALWANN \[12\]), `i64` accumulation,
 //!   no intermediate patch matrix;
-//! - [`run_cpu_gemm`]: Algorithm 1 on host threads — chunked quantizing
-//!   im2col, LUT GEMM on the context's persistent worker pool, Eq. 4
-//!   correction;
+//! - [`run_cpu_gemm_fused`]: Algorithm 1 on host threads — chunked
+//!   quantizing im2col, LUT GEMM on the context's persistent worker pool,
+//!   Eq. 4 correction — over a batch split into request segments, each
+//!   with its own input quantization (a solo request is one segment);
 //! - [`run_gpusim`]: Algorithm 1 on the simulated device — the paper's
 //!   kernels with texture-cache LUT fetches and analytic cycle accounting.
 //!
-//! Each backend comes in two flavours: a `*_prepared` variant that
-//! consumes a [`PreparedFilter`] plan (all layer-invariant quantization
-//! hoisted out — what [`crate::AxConv2D`] calls with its cached plan), and
-//! a standalone wrapper of the same name as before that builds a
-//! throwaway plan per call and charges its cost to the Quantization phase.
+//! [`crate::AxConv2D::convolve_segmented`] is the one place that picks a
+//! runner for the context's [`crate::Backend`].
 
 use crate::accumulator::Accumulator;
 use crate::kernel;
 use crate::prepared::PreparedFilter;
-use crate::{EmuContext, EmuError};
+use crate::{Backend, EmuContext, EmuError};
 use axmult::MulLut;
 use axquant::{FilterQuantization, QuantParams};
 use axtensor::{ops::Filter, ConvGeometry, Matrix, SegmentTable, Shape4, Tensor};
-use gpusim::kernels::gemm::approx_gemm_prepared;
+use gpusim::kernels::gemm::approx_gemm;
 use gpusim::kernels::im2col::{im2col_quant, PatchSumStrategy};
 use gpusim::kernels::minmax::reduction_events;
 use gpusim::{Phase, PhaseProfile};
@@ -46,9 +47,9 @@ pub struct ConvSpec<'a> {
     /// Input quantization (`α₁`, `β₁`), from the batch's min/max.
     pub input_q: QuantParams,
     /// Filter quantization (`α₂`, `β₂`), per-tensor or per-channel, from
-    /// the weight range(s). A `Cow` so the prepared call path can borrow
-    /// the plan's resolved quantization instead of cloning per call
-    /// (only the standalone wrappers, which build a throwaway plan, read
+    /// the weight range(s). A `Cow` so the layer can borrow the plan's
+    /// resolved quantization instead of cloning it per call (the runners
+    /// take the filter side from the plan; [`quantized_reference`] reads
     /// it).
     pub filter_q: Cow<'a, FilterQuantization>,
     /// Accumulator model of the emulated MAC (CPU backends; the GPU
@@ -98,40 +99,20 @@ fn apply_bias(mut out: Tensor<f32>, bias: Option<&[f32]>) -> Tensor<f32> {
     out
 }
 
-/// Direct nested-loop emulation (the paper's approximate-CPU baseline).
+/// Direct nested-loop emulation (the paper's approximate-CPU baseline):
+/// only the input side is quantized per call, the filter side comes from
+/// `plan`, which must have been built from `spec.filter` under
+/// `spec.filter_q`.
 ///
 /// When `use_lut` is false the inner multiplication uses native integer
 /// arithmetic on the same quantized operands instead of the LUT fetch —
 /// the difference in wall-clock between the two runs isolates the LUT
 /// share for the Fig. 2 CPU breakdown.
 ///
-/// Builds a throwaway [`PreparedFilter`] per call; use
-/// [`run_cpu_direct_prepared`] to amortize it across calls.
-///
 /// # Errors
 ///
 /// Propagates shape errors.
 pub fn run_cpu_direct(
-    input: &Tensor<f32>,
-    spec: &ConvSpec<'_>,
-    use_lut: bool,
-) -> Result<(Tensor<f32>, PhaseProfile), EmuError> {
-    let t0 = Instant::now();
-    let plan = PreparedFilter::from_filter(spec.filter, &spec.filter_q);
-    let build_s = t0.elapsed().as_secs_f64();
-    let (out, mut profile) = run_cpu_direct_prepared(input, spec, &plan, use_lut)?;
-    profile.add(Phase::Quantization, build_s);
-    Ok((out, profile))
-}
-
-/// [`run_cpu_direct`] against a pre-built plan: only the input side is
-/// quantized per call. `plan` must have been built from `spec.filter`
-/// under `spec.filter_q`.
-///
-/// # Errors
-///
-/// Propagates shape errors.
-pub fn run_cpu_direct_prepared(
     input: &Tensor<f32>,
     spec: &ConvSpec<'_>,
     plan: &PreparedFilter,
@@ -231,126 +212,75 @@ pub fn run_cpu_direct_prepared(
     Ok((apply_bias(out, spec.bias), profile))
 }
 
-/// Optimized host-side Algorithm 1: chunked quantizing im2col + LUT GEMM
-/// on the context's persistent worker pool + Eq. 4 correction.
-///
-/// Builds a throwaway [`PreparedFilter`] per call; use
-/// [`run_cpu_gemm_prepared`] to amortize it across calls. Chunk size and
-/// worker pool come from `ctx`.
-///
-/// # Errors
-///
-/// Propagates shape errors.
-pub fn run_cpu_gemm(
-    input: &Tensor<f32>,
-    spec: &ConvSpec<'_>,
-    ctx: &EmuContext,
-) -> Result<(Tensor<f32>, PhaseProfile), EmuError> {
-    let t0 = Instant::now();
-    let plan = PreparedFilter::from_filter(spec.filter, &spec.filter_q);
-    let build_s = t0.elapsed().as_secs_f64();
-    let (out, mut profile) = run_cpu_gemm_prepared(input, spec, &plan, ctx)?;
-    profile.add(Phase::Quantization, build_s);
-    Ok((out, profile))
+/// Concatenate per-chunk (or per-segment) outputs along the batch axis,
+/// moving a lone part instead of copying it.
+fn concat_parts(mut parts: Vec<Tensor<f32>>) -> Result<Tensor<f32>, EmuError> {
+    if parts.len() == 1 {
+        return Ok(parts.pop().expect("one part"));
+    }
+    Ok(Tensor::concat_batch(&parts)?)
 }
 
-/// [`run_cpu_gemm`] against a pre-built plan: the filter bytes, `Sf` sums
-/// and per-channel parameters come straight from `plan`, and the GEMM is
-/// the tiled, thread-sharded microkernel of [`crate::kernel`] running on
-/// `ctx`'s persistent worker pool — cache-blocked per
-/// [`EmuContext::tile_config`], with register micro-tiles streaming the
-/// patch matrix against one hoisted LUT row per tap. `plan` must have
-/// been built from `spec.filter` under `spec.filter_q`.
-///
-/// A zero-batch input returns a correctly-shaped empty output.
-///
-/// # Errors
-///
-/// Propagates shape errors.
-pub fn run_cpu_gemm_prepared(
+/// Run `run` on every non-empty segment of a non-empty batch, each under
+/// its own input quantization, and concatenate the outputs. A segment
+/// spanning the whole batch is run on `input` itself and its output
+/// returned as is, so a solo request costs no copy.
+pub(crate) fn run_per_segment(
     input: &Tensor<f32>,
     spec: &ConvSpec<'_>,
-    plan: &PreparedFilter,
-    ctx: &EmuContext,
+    seg_q: &[QuantParams],
+    segments: &SegmentTable,
+    mut run: impl FnMut(&Tensor<f32>, &ConvSpec<'_>) -> Result<(Tensor<f32>, PhaseProfile), EmuError>,
 ) -> Result<(Tensor<f32>, PhaseProfile), EmuError> {
-    let fs = spec.filter.shape();
-    let mut profile = PhaseProfile::new();
-    let out_shape = spec.geometry.output_shape(input.shape(), fs)?;
-    let n = input.shape().n;
-    if n == 0 {
-        return Ok((apply_bias(Tensor::zeros(out_shape), spec.bias), profile));
-    }
-
-    let lut = spec.lut;
-    let accumulator = spec.accumulator;
-    let pool = ctx.pool();
-    let tiles = ctx.tile_config();
-    let chunk_size = ctx.chunk_size();
-
     let mut parts: Vec<Tensor<f32>> = Vec::new();
-    let mut start = 0usize;
-    while start < n {
-        let count = chunk_size.min(n - start);
-        let chunk = input.batch_slice(start, count);
-
-        // Quantizing im2col (shares the functional kernel; host timing).
-        let t1 = Instant::now();
-        let patches = im2col_quant(
-            &chunk,
-            fs,
-            spec.geometry,
-            spec.input_q,
-            PatchSumStrategy::PrefixScan,
-        )?
-        .output;
-        profile.add(Phase::Other, t1.elapsed().as_secs_f64());
-
-        // Blocked LUT GEMM on the persistent pool, on the context's
-        // kernel arm (bit-identical whichever arm runs).
-        let t2 = Instant::now();
-        let out_buf = kernel::dispatch::lut_gemm_dispatch(
-            ctx.kernel(),
-            &patches.matrix,
-            &patches.patch_sums,
-            plan,
-            spec.input_q,
-            lut,
-            accumulator,
-            tiles,
-            pool,
-        );
-        profile.add(Phase::LutLookup, t2.elapsed().as_secs_f64());
-
-        parts.push(Tensor::from_vec(patches.out_shape, out_buf)?);
-        start += count;
+    let mut profile = PhaseProfile::new();
+    for (s, (start, end)) in segments.iter().enumerate() {
+        if start == end {
+            continue;
+        }
+        let seg_spec = ConvSpec {
+            input_q: seg_q[s],
+            ..spec.clone()
+        };
+        let (part, part_profile) = if end - start == input.shape().n {
+            run(input, &seg_spec)?
+        } else {
+            run(&input.batch_slice(start, end - start), &seg_spec)?
+        };
+        parts.push(part);
+        profile.merge(&part_profile);
     }
-    let out = Tensor::concat_batch(&parts)?;
-    Ok((apply_bias(out, spec.bias), profile))
+    Ok((concat_parts(parts)?, profile))
 }
 
-/// [`run_cpu_gemm_prepared`] over a *fused* multi-request batch: one
-/// segmented LUT GEMM per chunk instead of one whole pipeline per
-/// request.
+/// Optimized host-side Algorithm 1 over a batch split into request
+/// segments: per chunk, quantizing im2col and **one** segmented LUT GEMM
+/// on `ctx`'s persistent worker pool, on `ctx`'s kernel arm and tile
+/// shape. A solo request is the one-segment table
+/// ([`SegmentTable::single`]).
 ///
 /// `segments` partitions the batch axis into request spans and `seg_q`
 /// gives each span its own input quantization (from its own observers);
 /// `spec.input_q` is ignored. Each chunk is intersected with the segment
 /// spans, every resulting piece is im2col-quantized under its segment's
 /// params — byte-identical to the patches a solo run of that request
-/// produces — and the concatenated pieces run as **one** tiled GEMM whose
-/// epilogue picks the owning segment's Eq. 4 constants per row. Since
-/// every output row depends only on its own patch bytes, its segment's
-/// params, and the fixed ascending-`k` fold order, the result is
-/// bit-identical to running each request alone and concatenating, for any
-/// chunk size, tile shape, thread count, and accumulator model.
+/// produces — and the pieces run as one tiled GEMM whose epilogue picks
+/// the owning segment's Eq. 4 constants per row. Since every output row
+/// depends only on its own patch bytes, its segment's params, and the
+/// fixed ascending-`k` fold order, the result is bit-identical to running
+/// each request alone and concatenating, for any chunk size, tile shape,
+/// thread count, and accumulator model. A chunk holding a single piece
+/// hands its patch buffers to the GEMM without copying them. `plan` must
+/// have been built from `spec.filter` under `spec.filter_q`.
+///
+/// A zero-batch input returns a correctly-shaped empty output.
 ///
 /// # Errors
 ///
 /// Returns [`EmuError::Config`] if the segment table does not cover
 /// exactly the batch or `seg_q` does not cover exactly the segments;
 /// propagates shape errors.
-#[allow(clippy::too_many_arguments)]
-pub fn run_cpu_gemm_fused_prepared(
+pub fn run_cpu_gemm_fused(
     input: &Tensor<f32>,
     spec: &ConvSpec<'_>,
     seg_q: &[QuantParams],
@@ -375,10 +305,6 @@ pub fn run_cpu_gemm_fused_prepared(
         return Ok((apply_bias(Tensor::zeros(out_shape), spec.bias), profile));
     }
 
-    let lut = spec.lut;
-    let accumulator = spec.accumulator;
-    let pool = ctx.pool();
-    let tiles = ctx.tile_config();
     let chunk_size = ctx.chunk_size();
     let k = fs.patch_len();
 
@@ -391,37 +317,42 @@ pub fn run_cpu_gemm_fused_prepared(
         // im2col-quantized under its own segment's params, then all
         // pieces run as one segmented GEMM.
         let t1 = Instant::now();
-        let mut bytes: Vec<u8> = Vec::new();
-        let mut sums: Vec<i64> = Vec::new();
+        let mut pieces: Vec<(Matrix<u8>, Vec<i64>)> = Vec::new();
         let mut piece_q: Vec<QuantParams> = Vec::new();
-        let mut piece_rows: Vec<usize> = Vec::new();
         for (s, (seg_start, seg_end)) in segments.iter().enumerate() {
             let lo = seg_start.max(start);
             let hi = seg_end.min(start + count);
             if lo >= hi {
                 continue;
             }
-            let piece = input.batch_slice(lo, hi - lo);
             let patches = im2col_quant(
-                &piece,
+                &input.batch_slice(lo, hi - lo),
                 fs,
                 spec.geometry,
                 seg_q[s],
                 PatchSumStrategy::PrefixScan,
             )?
             .output;
-            bytes.extend_from_slice(patches.matrix.as_slice());
-            sums.extend_from_slice(&patches.patch_sums);
+            pieces.push((patches.matrix, patches.patch_sums));
             piece_q.push(seg_q[s]);
-            piece_rows.push(patches.matrix.rows());
         }
-        let rows = sums.len();
-        let matrix = Matrix::from_vec(rows, k, bytes)?;
-        let row_table = SegmentTable::from_counts(&piece_rows);
+        let row_table =
+            SegmentTable::from_counts(&pieces.iter().map(|(m, _)| m.rows()).collect::<Vec<_>>());
+        let (matrix, sums) = if pieces.len() == 1 {
+            pieces.pop().expect("one piece")
+        } else {
+            let mut bytes: Vec<u8> = Vec::with_capacity(row_table.total() * k);
+            let mut sums: Vec<i64> = Vec::with_capacity(row_table.total());
+            for (m, s) in &pieces {
+                bytes.extend_from_slice(m.as_slice());
+                sums.extend_from_slice(s);
+            }
+            (Matrix::from_vec(sums.len(), k, bytes)?, sums)
+        };
         profile.add(Phase::Other, t1.elapsed().as_secs_f64());
 
         // One fused, blocked LUT GEMM for the whole chunk, on the
-        // context's kernel arm.
+        // context's kernel arm (bit-identical whichever arm runs).
         let t2 = Instant::now();
         let out_buf = kernel::dispatch::lut_gemm_dispatch_seg(
             ctx.kernel(),
@@ -430,10 +361,10 @@ pub fn run_cpu_gemm_fused_prepared(
             plan,
             &piece_q,
             &row_table,
-            lut,
-            accumulator,
-            tiles,
-            pool,
+            spec.lut,
+            spec.accumulator,
+            ctx.tile_config(),
+            ctx.pool(),
         );
         profile.add(Phase::LutLookup, t2.elapsed().as_secs_f64());
 
@@ -443,8 +374,7 @@ pub fn run_cpu_gemm_fused_prepared(
         )?);
         start += count;
     }
-    let out = Tensor::concat_batch(&parts)?;
-    Ok((apply_bias(out, spec.bias), profile))
+    Ok((apply_bias(concat_parts(parts)?, spec.bias), profile))
 }
 
 /// Algorithm 1 on the simulated GPU: the paper's proposal.
@@ -453,41 +383,17 @@ pub fn run_cpu_gemm_fused_prepared(
 /// *modeled* seconds derived from the kernels' event counts under the
 /// context's device calibration. The min/max reductions the transformed
 /// graph performs per batch are also charged here (they run on the device
-/// in the paper's implementation).
-///
-/// Builds a throwaway [`PreparedFilter`] per call and charges its modeled
-/// quantization cost; use [`run_gpusim_prepared`] to amortize it.
-///
-/// # Errors
-///
-/// Propagates shape errors.
-pub fn run_gpusim(
-    input: &Tensor<f32>,
-    spec: &ConvSpec<'_>,
-    ctx: &EmuContext,
-) -> Result<(Tensor<f32>, PhaseProfile), EmuError> {
-    let plan = PreparedFilter::from_filter(spec.filter, &spec.filter_q);
-    let (out, mut profile) = run_gpusim_prepared(input, spec, &plan, ctx)?;
-    // A standalone call pays the filter quantization a prepared caller
-    // pays once at plan-build time.
-    let ev = plan.quant_events();
-    profile.add(Phase::Quantization, ctx.device().seconds(&ev));
-    ctx.record_events(&ev);
-    Ok((out, profile))
-}
-
-/// [`run_gpusim`] against a pre-built plan: the device kernels consume the
-/// plan's quantized filter bytes directly, so no chunk ever re-quantizes
-/// the filter bank (the pre-refactor code did — and rebuilt the f32
-/// filter matrix — on **every** chunk). `plan` must have been built from
-/// `spec.filter` under `spec.filter_q`.
+/// in the paper's implementation). The device kernels consume the plan's
+/// quantized filter bytes directly, so no chunk ever re-quantizes the
+/// filter bank; `plan` must have been built from `spec.filter` under
+/// `spec.filter_q`.
 ///
 /// A zero-batch input returns a correctly-shaped empty output.
 ///
 /// # Errors
 ///
 /// Propagates shape errors.
-pub fn run_gpusim_prepared(
+pub fn run_gpusim(
     input: &Tensor<f32>,
     spec: &ConvSpec<'_>,
     plan: &PreparedFilter,
@@ -513,10 +419,8 @@ pub fn run_gpusim_prepared(
     let mut start = 0usize;
     while start < n {
         let count = ctx.chunk_size().min(n - start);
-        let chunk = input.batch_slice(start, count);
-
         let im2col = im2col_quant(
-            &chunk,
+            &input.batch_slice(start, count),
             fs,
             spec.geometry,
             spec.input_q,
@@ -529,7 +433,7 @@ pub fn run_gpusim_prepared(
         let patches = im2col.output;
 
         let gemm = ctx.with_cache(|cache| {
-            approx_gemm_prepared(
+            approx_gemm(
                 &patches.matrix,
                 &patches.patch_sums,
                 plan.f_bytes(),
@@ -547,46 +451,28 @@ pub fn run_gpusim_prepared(
         parts.push(Tensor::from_vec(patches.out_shape, gemm.output.into_vec())?);
         start += count;
     }
-    let out = Tensor::concat_batch(&parts)?;
-    Ok((apply_bias(out, spec.bias), profile))
+    Ok((apply_bias(concat_parts(parts)?, spec.bias), profile))
 }
 
-/// The accurate f32 convolution timed on the device model — the paper's
-/// "accurate Conv2D (GPU)" baseline. Functional output comes from the f32
-/// reference; the cost is the FMA/DRAM roofline of a dense GEMM.
-///
-/// # Errors
-///
-/// Propagates shape errors.
-pub fn run_gpusim_accurate(
-    input: &Tensor<f32>,
-    filter: &Filter,
-    geometry: ConvGeometry,
-    bias: Option<&[f32]>,
+/// The one-off cost of building `plan`, as the context's backend charges
+/// it to the Quantization phase: the measured `build_s` wall-clock on the
+/// host backends, the modeled filter quantization on the simulated GPU
+/// (whose events are also recorded into `ctx`).
+pub(crate) fn plan_build_profile(
+    plan: &PreparedFilter,
+    build_s: f64,
     ctx: &EmuContext,
-) -> Result<(Tensor<f32>, PhaseProfile), EmuError> {
-    let out = axtensor::ops::conv2d_gemm(input, filter, geometry)?;
-    let macs = geometry.mac_count(input.shape(), filter.shape())?;
-    let mut ev = gpusim::EventCounts::new();
-    ev.fma_ops = macs;
-    ev.global_read_bytes = (input.shape().len() + filter.shape().len()) as u64 * 4;
-    ev.global_write_bytes = out.shape().len() as u64 * 4;
+) -> PhaseProfile {
     let mut profile = PhaseProfile::new();
-    profile.add(Phase::Other, ctx.device().seconds(&ev));
-    Ok((apply_bias(out, bias), profile))
-}
-
-/// Reference output shape helper shared by the layer.
-///
-/// # Errors
-///
-/// Propagates shape errors.
-pub fn output_shape(
-    input: Shape4,
-    spec_filter: &Filter,
-    geometry: ConvGeometry,
-) -> Result<Shape4, EmuError> {
-    Ok(geometry.output_shape(input, spec_filter.shape())?)
+    match ctx.backend() {
+        Backend::CpuDirect | Backend::CpuGemm => profile.add(Phase::Quantization, build_s),
+        Backend::GpuSim => {
+            let ev = plan.quant_events();
+            profile.add(Phase::Quantization, ctx.device().seconds(&ev));
+            ctx.record_events(&ev);
+        }
+    }
+    profile
 }
 
 /// Build a quantized reference output with exact arithmetic (quantize →
@@ -608,14 +494,14 @@ pub fn quantized_reference(
         lut: &exact,
         ..spec.clone()
     };
-    let (out, _) = run_cpu_direct(input, &spec_exact, false)?;
+    let plan = PreparedFilter::from_filter(spec.filter, &spec.filter_q);
+    let (out, _) = run_cpu_direct(input, &spec_exact, &plan, false)?;
     Ok(out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Backend;
     use axmult::Signedness;
     use axquant::{QuantRange, RoundMode};
     use axtensor::{rng, FilterShape, Padding};
@@ -634,6 +520,27 @@ mod tests {
         }
     }
 
+    /// The plan every runner in these tests consumes.
+    fn plan_of(s: &ConvSpec<'_>) -> PreparedFilter {
+        PreparedFilter::from_filter(s.filter, &s.filter_q)
+    }
+
+    /// The host GEMM on one request: a one-segment fused call.
+    fn gemm_solo(input: &Tensor<f32>, s: &ConvSpec<'_>, ctx: &EmuContext) -> Tensor<f32> {
+        let table = SegmentTable::single(input.shape().n);
+        run_cpu_gemm_fused(input, s, &[s.input_q], &table, &plan_of(s), ctx)
+            .unwrap()
+            .0
+    }
+
+    fn direct(input: &Tensor<f32>, s: &ConvSpec<'_>) -> Tensor<f32> {
+        run_cpu_direct(input, s, &plan_of(s), true).unwrap().0
+    }
+
+    fn gpusim(input: &Tensor<f32>, s: &ConvSpec<'_>, ctx: &EmuContext) -> Tensor<f32> {
+        run_gpusim(input, s, &plan_of(s), ctx).unwrap().0
+    }
+
     fn close(a: &Tensor<f32>, b: &Tensor<f32>, tol: f32) -> bool {
         a.max_abs_diff(b).unwrap() <= tol
     }
@@ -649,15 +556,15 @@ mod tests {
             ConvGeometry::default().with_padding(Padding::Valid),
         ] {
             let s = spec(&filter, &lut, geom);
-            let (direct, _) = run_cpu_direct(&input, &s, true).unwrap();
+            let cpu = direct(&input, &s);
             let gemm_ctx = EmuContext::new(Backend::CpuGemm)
                 .with_chunk_size(2)
                 .unwrap();
-            let (gemm, _) = run_cpu_gemm(&input, &s, &gemm_ctx).unwrap();
+            let gemm = gemm_solo(&input, &s, &gemm_ctx);
             let ctx = EmuContext::new(Backend::GpuSim).with_chunk_size(2).unwrap();
-            let (gpu, _) = run_gpusim(&input, &s, &ctx).unwrap();
-            assert!(close(&direct, &gemm, 1e-4), "direct vs gemm, {geom:?}");
-            assert!(close(&direct, &gpu, 1e-2), "direct vs gpu, {geom:?}");
+            let gpu = gpusim(&input, &s, &ctx);
+            assert!(close(&cpu, &gemm, 1e-4), "direct vs gemm, {geom:?}");
+            assert!(close(&cpu, &gpu, 1e-2), "direct vs gpu, {geom:?}");
         }
     }
 
@@ -667,40 +574,14 @@ mod tests {
         let filter = rng::uniform_filter(FilterShape::new(3, 3, 2, 4), 4, -0.5, 0.5);
         let bam = axmult::catalog::by_name("mul8s_bam_v8h0").unwrap();
         let s = spec(&filter, bam.lut(), ConvGeometry::default());
-        let (direct, _) = run_cpu_direct(&input, &s, true).unwrap();
+        let cpu = direct(&input, &s);
         let gemm_ctx = EmuContext::new(Backend::CpuGemm)
             .with_chunk_size(1)
             .unwrap();
-        let (gemm, _) = run_cpu_gemm(&input, &s, &gemm_ctx).unwrap();
-        let ctx = EmuContext::new(Backend::GpuSim);
-        let (gpu, _) = run_gpusim(&input, &s, &ctx).unwrap();
-        assert!(close(&direct, &gemm, 1e-4));
-        assert!(close(&direct, &gpu, 1e-2));
-    }
-
-    #[test]
-    fn prepared_paths_match_standalone_wrappers() {
-        let input = rng::uniform(Shape4::new(3, 6, 6, 2), 17, -1.0, 1.0);
-        let filter = rng::uniform_filter(FilterShape::new(3, 3, 2, 4), 18, -0.5, 0.5);
-        let lut = MulLut::exact(Signedness::Signed);
-        let s = spec(&filter, &lut, ConvGeometry::default().with_stride(2));
-        let plan = PreparedFilter::from_filter(s.filter, &s.filter_q);
-
-        let (direct, _) = run_cpu_direct(&input, &s, true).unwrap();
-        let (direct_p, _) = run_cpu_direct_prepared(&input, &s, &plan, true).unwrap();
-        assert_eq!(direct, direct_p);
-
-        let ctx = EmuContext::new(Backend::CpuGemm)
-            .with_chunk_size(2)
-            .unwrap();
-        let (gemm, _) = run_cpu_gemm(&input, &s, &ctx).unwrap();
-        let (gemm_p, _) = run_cpu_gemm_prepared(&input, &s, &plan, &ctx).unwrap();
-        assert_eq!(gemm, gemm_p);
-
-        let gctx = EmuContext::new(Backend::GpuSim).with_chunk_size(2).unwrap();
-        let (gpu, _) = run_gpusim(&input, &s, &gctx).unwrap();
-        let (gpu_p, _) = run_gpusim_prepared(&input, &s, &plan, &gctx).unwrap();
-        assert_eq!(gpu, gpu_p);
+        let gemm = gemm_solo(&input, &s, &gemm_ctx);
+        let gpu = gpusim(&input, &s, &EmuContext::new(Backend::GpuSim));
+        assert!(close(&cpu, &gemm, 1e-4));
+        assert!(close(&cpu, &gpu, 1e-2));
     }
 
     #[test]
@@ -712,28 +593,22 @@ mod tests {
         let mut s = spec(&filter, &lut, ConvGeometry::default());
         s.bias = Some(&bias);
         let expect = Shape4::new(0, 6, 6, 4);
-
-        let (direct, _) = run_cpu_direct(&input, &s, true).unwrap();
-        assert_eq!(direct.shape(), expect);
-        assert!(direct.as_slice().is_empty());
-
-        let ctx = EmuContext::new(Backend::CpuGemm);
-        let (gemm, _) = run_cpu_gemm(&input, &s, &ctx).unwrap();
-        assert_eq!(gemm.shape(), expect);
-        assert!(gemm.as_slice().is_empty());
-
-        let gctx = EmuContext::new(Backend::GpuSim);
-        let (gpu, _) = run_gpusim(&input, &s, &gctx).unwrap();
-        assert_eq!(gpu.shape(), expect);
-        assert!(gpu.as_slice().is_empty());
+        for out in [
+            direct(&input, &s),
+            gemm_solo(&input, &s, &EmuContext::new(Backend::CpuGemm)),
+            gpusim(&input, &s, &EmuContext::new(Backend::GpuSim)),
+        ] {
+            assert_eq!(out.shape(), expect);
+            assert!(out.as_slice().is_empty());
+        }
     }
 
     #[test]
     fn fused_gemm_is_per_request_runs_chained() {
         // The fused runner must be bit-identical to running each segment
-        // alone (with its own params) and concatenating — across chunk
-        // sizes that split requests and accumulator models, with an empty
-        // segment in the mix.
+        // alone (with its own params, as a one-segment call) and
+        // concatenating — across chunk sizes that split requests and
+        // accumulator models, with an empty segment in the mix.
         let input = rng::uniform(Shape4::new(7, 6, 6, 2), 51, -1.0, 1.0);
         let filter = rng::uniform_filter(FilterShape::new(3, 3, 2, 3), 52, -0.5, 0.5);
         let lut = MulLut::exact(Signedness::Signed);
@@ -754,16 +629,13 @@ mod tests {
                 let mut s = spec(&filter, &lut, ConvGeometry::default());
                 s.bias = Some(&bias);
                 s.accumulator = accumulator;
-                let plan = PreparedFilter::from_filter(s.filter, &s.filter_q);
                 let (fused, _) =
-                    run_cpu_gemm_fused_prepared(&input, &s, &seg_q, &segments, &plan, &ctx)
-                        .unwrap();
+                    run_cpu_gemm_fused(&input, &s, &seg_q, &segments, &plan_of(&s), &ctx).unwrap();
                 let mut parts = Vec::new();
                 for (i, (a, b)) in segments.iter().enumerate() {
-                    let piece = input.batch_slice(a, b - a);
-                    let mut ss = s.clone();
-                    ss.input_q = seg_q[i];
-                    parts.push(run_cpu_gemm_prepared(&piece, &ss, &plan, &ctx).unwrap().0);
+                    let mut solo = s.clone();
+                    solo.input_q = seg_q[i];
+                    parts.push(gemm_solo(&input.batch_slice(a, b - a), &solo, &ctx));
                 }
                 let chained = Tensor::concat_batch(&parts).unwrap();
                 assert_eq!(fused, chained, "{accumulator:?} chunk {chunk}");
@@ -777,14 +649,13 @@ mod tests {
         let filter = rng::uniform_filter(FilterShape::new(3, 3, 2, 3), 54, -0.5, 0.5);
         let lut = MulLut::exact(Signedness::Signed);
         let s = spec(&filter, &lut, ConvGeometry::default());
-        let plan = PreparedFilter::from_filter(s.filter, &s.filter_q);
         let ctx = EmuContext::new(Backend::CpuGemm);
-        let err = run_cpu_gemm_fused_prepared(
+        let err = run_cpu_gemm_fused(
             &input,
             &s,
             &[s.input_q],
             &SegmentTable::from_counts(&[2]),
-            &plan,
+            &plan_of(&s),
             &ctx,
         )
         .unwrap_err();
@@ -816,9 +687,8 @@ mod tests {
         let filter = rng::uniform_filter(FilterShape::new(3, 3, 3, 4), 6, -0.5, 0.5);
         let lut = MulLut::exact(Signedness::Signed);
         let s = spec(&filter, &lut, ConvGeometry::default());
-        let (out, _) = run_cpu_direct(&input, &s, true).unwrap();
         let reference = quantized_reference(&input, &s).unwrap();
-        assert!(close(&out, &reference, 1e-5));
+        assert!(close(&direct(&input, &s), &reference, 1e-5));
     }
 
     #[test]
@@ -831,7 +701,7 @@ mod tests {
         let filter = rng::uniform_filter(FilterShape::new(3, 3, 3, 4), 8, -0.5, 0.5);
         let lut = MulLut::exact(Signedness::Signed);
         let s = spec(&filter, &lut, ConvGeometry::default());
-        let (out, _) = run_cpu_direct(&input, &s, true).unwrap();
+        let out = direct(&input, &s);
         let float_ref = axtensor::ops::conv2d_direct(&input, &filter, s.geometry).unwrap();
         // 27-tap dot product of 8-bit quantized values: error stays well
         // below the combined quantization steps.
@@ -852,12 +722,14 @@ mod tests {
         let one_ctx = EmuContext::new(Backend::CpuGemm)
             .with_chunk_size(5)
             .unwrap();
-        let (one, _) = run_cpu_gemm(&input, &s, &one_ctx).unwrap();
         let many_ctx = EmuContext::new(Backend::CpuGemm)
             .with_chunk_size(1)
             .unwrap();
-        let (many, _) = run_cpu_gemm(&input, &s, &many_ctx).unwrap();
-        assert!(close(&one, &many, 1e-6));
+        assert!(close(
+            &gemm_solo(&input, &s, &one_ctx),
+            &gemm_solo(&input, &s, &many_ctx),
+            1e-6
+        ));
     }
 
     #[test]
@@ -868,8 +740,7 @@ mod tests {
         let bias = [1.0f32, -2.0];
         let mut s = spec(&filter, &lut, ConvGeometry::default());
         s.bias = Some(&bias);
-        let (out, _) = run_cpu_direct(&input, &s, true).unwrap();
-        for px in out.as_slice().chunks(2) {
+        for px in direct(&input, &s).as_slice().chunks(2) {
             assert!((px[0] - 1.0).abs() < 1e-6);
             assert!((px[1] + 2.0).abs() < 1e-6);
         }
@@ -882,43 +753,9 @@ mod tests {
         let lut = MulLut::exact(Signedness::Signed);
         let s = spec(&filter, &lut, ConvGeometry::default());
         let ctx = EmuContext::new(Backend::GpuSim);
-        let (_, profile) = run_gpusim(&input, &s, &ctx).unwrap();
+        let (_, profile) = run_gpusim(&input, &s, &plan_of(&s), &ctx).unwrap();
         assert!(profile.seconds(Phase::LutLookup) > 0.0);
         assert!(profile.seconds(Phase::Quantization) > 0.0);
         assert!(profile.seconds(Phase::Other) > 0.0);
-    }
-
-    #[test]
-    fn gpusim_prepared_models_less_quantization() {
-        // The prepared path's modeled Quantization time must be strictly
-        // below the standalone path's, by exactly the plan's one-off
-        // filter-quantization charge.
-        let input = rng::uniform(Shape4::new(4, 6, 6, 2), 23, -1.0, 1.0);
-        let filter = rng::uniform_filter(FilterShape::new(3, 3, 2, 4), 24, -0.5, 0.5);
-        let lut = MulLut::exact(Signedness::Signed);
-        let s = spec(&filter, &lut, ConvGeometry::default());
-        let plan = PreparedFilter::from_filter(s.filter, &s.filter_q);
-        let ctx = EmuContext::new(Backend::GpuSim).with_chunk_size(2).unwrap();
-        let (_, standalone) = run_gpusim(&input, &s, &ctx).unwrap();
-        let (_, prepared) = run_gpusim_prepared(&input, &s, &plan, &ctx).unwrap();
-        let charge = ctx.device().seconds(&plan.quant_events());
-        let diff = standalone.seconds(Phase::Quantization) - prepared.seconds(Phase::Quantization);
-        assert!(
-            (diff - charge).abs() < 1e-12,
-            "diff {diff} vs one-off charge {charge}"
-        );
-    }
-
-    #[test]
-    fn accurate_gpusim_matches_float_reference() {
-        let input = rng::uniform(Shape4::new(2, 6, 6, 3), 15, -1.0, 1.0);
-        let filter = rng::uniform_filter(FilterShape::new(3, 3, 3, 4), 16, -0.5, 0.5);
-        let ctx = EmuContext::new(Backend::GpuSim);
-        let (out, profile) =
-            run_gpusim_accurate(&input, &filter, ConvGeometry::default(), None, &ctx).unwrap();
-        let reference =
-            axtensor::ops::conv2d_gemm(&input, &filter, ConvGeometry::default()).unwrap();
-        assert!(close(&out, &reference, 1e-6));
-        assert!(profile.total() > 0.0);
     }
 }

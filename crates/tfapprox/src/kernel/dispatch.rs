@@ -190,8 +190,9 @@ fn calibrate() -> KernelKind {
 /// The arm that will actually run for a request: SIMD kernels handle only
 /// the exact accumulator model (their reassociated folds are bit-exact
 /// there and only there) and require runtime CPU support; everything else
-/// downgrades to the scalar walker.
-fn effective(kernel: KernelKind, accumulator: Accumulator) -> KernelKind {
+/// downgrades to the scalar walker. Sessions, reports and serve stats
+/// name this arm, so what they report is what ran.
+pub(crate) fn effective(kernel: KernelKind, accumulator: Accumulator) -> KernelKind {
     if matches!(accumulator, Accumulator::Exact) && kernel.is_supported() {
         kernel
     } else {

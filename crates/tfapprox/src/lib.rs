@@ -38,9 +38,9 @@
 //!
 //! Underneath sit the operator and engine layers:
 //!
-//! - [`AxConv2D`] / [`AxDense`]: the approximate operators — quantize per
-//!   Eq. 1, multiply through the LUT, accumulate, dequantize with the
-//!   Eq. 4 correction,
+//! - [`AxConv2D`]: the approximate operator — quantize per Eq. 1,
+//!   multiply through the LUT, accumulate, dequantize with the Eq. 4
+//!   correction (a dense layer is a 1×1 `AxConv2D` with a bias),
 //! - [`Backend`]: `CpuDirect` (the nested-loop approach of ALWANN
 //!   \[12\]), `CpuGemm` (im2col + GEMM on host threads), or `GpuSim`
 //!   (Algorithm 1 on the simulated CUDA-capable device from [`gpusim`]),
@@ -87,7 +87,6 @@
 pub mod accumulator;
 pub mod assignment;
 pub mod axconv2d;
-pub mod axdense;
 pub mod backend;
 pub mod compile;
 pub mod context;
@@ -99,20 +98,12 @@ pub mod serve;
 pub mod session;
 pub mod sweep;
 
-// The pre-session free-function surface. Kept public so the equivalence
-// tests can pin `Session` bit-identical to the legacy path, but hidden
-// from the documented API: new code should compile a `Session`.
-#[doc(hidden)]
-pub mod flow;
-#[doc(hidden)]
-pub mod runtime;
-
 mod error;
+mod runtime;
 
 pub use accumulator::Accumulator;
 pub use assignment::Assignment;
 pub use axconv2d::AxConv2D;
-pub use axdense::AxDense;
 pub use context::{Backend, EmuContext};
 pub use error::{EmuError, Error};
 pub use kernel::{auto_kernel, available_kernels, KernelKind, TileConfig};

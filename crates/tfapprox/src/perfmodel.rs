@@ -21,10 +21,11 @@
 //! crippling on CPU but mild on GPU.
 
 use crate::runtime::{self, EmulationReport};
-use crate::{flow, Backend, EmuContext, EmuError};
+use crate::{Accumulator, AxConv2D, Backend, EmuContext, EmuError};
 use axmult::AxMultiplier;
 use axnn::dataset::SyntheticCifar10;
 use axnn::resnet::{cifar_input_shape, ResNetConfig};
+use axnn::Graph;
 use gpusim::{DeviceConfig, EventCounts, Phase, PhaseProfile};
 use std::sync::Arc;
 
@@ -179,6 +180,19 @@ pub fn cpu_fig2_profile(model: &CpuModel, total_macs: u64) -> PhaseProfile {
     p
 }
 
+/// The Fig. 1 transform: every `Conv2D` becomes an [`AxConv2D`] emulating
+/// `mult` on `ctx`. Plans stay lazy, so the first forward charges each
+/// layer's plan build to the modeled Quantization phase.
+fn approximate(
+    graph: &Graph,
+    mult: &AxMultiplier,
+    ctx: &Arc<EmuContext>,
+) -> Result<Graph, EmuError> {
+    let (ax, _) =
+        graph.rewrite_convs(|conv| Arc::new(AxConv2D::from_conv2d(conv, mult, Arc::clone(ctx))))?;
+    Ok(ax)
+}
+
 /// Functionally execute `sample_images` of the approximate network on the
 /// simulated GPU and scale the modeled computation to `images`.
 ///
@@ -198,10 +212,10 @@ pub fn gpu_approx_times(
         EmuContext::with_device(Backend::GpuSim, dev.clone())
             .with_chunk_size(sample_images.max(1))?,
     );
-    let (ax, _) = flow::approximate_graph(&graph, mult, &ctx)?;
+    let ax = approximate(&graph, mult, &ctx)?;
     let data = SyntheticCifar10::new(seed);
     let batch = data.batch_sized(0, sample_images.max(1));
-    let (_, report) = runtime::run_approx(&ax, &[batch], &ctx)?;
+    let (_, report) = runtime::run_approx(&ax, &[batch], &ctx, Accumulator::Exact)?;
 
     let factor = images as f64 / sample_images.max(1) as f64;
     // Scale comp phases; recompute init for the full dataset.
@@ -310,8 +324,9 @@ pub fn measured_row(
 
     let run_backend = |backend: Backend| -> Result<EmulationReport, EmuError> {
         let ctx = Arc::new(EmuContext::new(backend).with_chunk_size(sample_images)?);
-        let (ax, _) = flow::approximate_graph(&graph, mult, &ctx)?;
-        let (_, report) = runtime::run_approx(&ax, std::slice::from_ref(&batch), &ctx)?;
+        let ax = approximate(&graph, mult, &ctx)?;
+        let (_, report) =
+            runtime::run_approx(&ax, std::slice::from_ref(&batch), &ctx, Accumulator::Exact)?;
         Ok(report)
     };
     let direct = run_backend(Backend::CpuDirect)?;

@@ -1,6 +1,6 @@
 //! A persistent scoped worker pool for the host-side GEMM backend.
 //!
-//! `run_cpu_gemm` used to open a fresh `std::thread::scope` — spawning and
+//! The host GEMM used to open a fresh `std::thread::scope` — spawning and
 //! joining OS threads — for **every chunk of every forward call**. Under
 //! repeated inference that thread churn is pure overhead. The pool here is
 //! spawned once per [`crate::EmuContext`] and reused for the context's

@@ -7,21 +7,21 @@
 //! Eq. 4 correction. None of it depends on the input batch, yet the
 //! pre-refactor backends recomputed all of it per call (and `run_gpusim`
 //! even re-quantized per *chunk*). [`PreparedFilter`] hoists that work
-//! into a plan built once per layer: [`crate::AxConv2D`] and
-//! [`crate::AxDense`] build it lazily on first forward and reuse it for
+//! into a plan built once per layer: [`crate::AxConv2D`] builds it lazily
+//! on first forward (or eagerly at session compile) and reuses it for
 //! every subsequent call, so repeated inference performs filter
 //! quantization exactly once.
 
 use axquant::{FilterQuantization, QuantParams};
-use axtensor::{Filter, Matrix};
+use axtensor::Filter;
 use gpusim::EventCounts;
 
 /// Everything about a filter bank that is invariant across forward calls.
 ///
 /// Layout invariant: all flat buffers are `K × c_out` row-major (`K` the
-/// patch length), matching both the HWCF flat order of [`Filter`] and the
-/// `[in, out]` row-major weights of a dense layer — column `c` is output
-/// channel `c`, i.e. flat index `i` belongs to channel `i % c_out`.
+/// patch length), matching the HWCF flat order of [`Filter`] — column `c`
+/// is output channel `c`, i.e. flat index `i` belongs to channel
+/// `i % c_out`.
 #[derive(Debug, Clone)]
 pub struct PreparedFilter {
     k: usize,
@@ -49,22 +49,18 @@ pub struct PreparedFilter {
 
 impl PreparedFilter {
     /// Prepare a convolution filter bank under the given quantization.
-    #[must_use]
-    pub fn from_filter(filter: &Filter, quant: &FilterQuantization) -> Self {
-        Self::from_matrix(filter.to_matrix(), quant)
-    }
-
-    /// Prepare a `K × c_out` weight matrix (the dense-layer and raw-GEMM
-    /// entry point).
     ///
     /// # Panics
     ///
     /// Panics if a per-channel quantization set does not cover exactly
-    /// `fmat.cols()` channels.
+    /// the bank's `c_out` channels.
     #[must_use]
-    pub fn from_matrix(fmat: Matrix<f32>, quant: &FilterQuantization) -> Self {
-        let k = fmat.rows();
-        let c_out = fmat.cols();
+    pub fn from_filter(filter: &Filter, quant: &FilterQuantization) -> Self {
+        let fs = filter.shape();
+        let (k, c_out) = (fs.patch_len(), fs.c_out);
+        // HWCF is already `K × c_out` row-major: flat index `r * c_out + c`
+        // is tap `r` of output channel `c`.
+        let weights = filter.as_slice();
         let col_q = quant.resolve(c_out);
         let mut q_logical = vec![0i32; k * c_out];
         let mut f_bytes = vec![0u8; k * c_out];
@@ -72,7 +68,7 @@ impl PreparedFilter {
         let mut sf = vec![0i64; c_out];
         for r in 0..k {
             for c in 0..c_out {
-                let q = col_q[c].quantize(fmat.at(r, c));
+                let q = col_q[c].quantize(weights[r * c_out + c]);
                 q_logical[r * c_out + c] = q;
                 let byte = (q & 0xFF) as u8;
                 f_bytes[r * c_out + c] = byte;
@@ -80,9 +76,9 @@ impl PreparedFilter {
                 sf[c] += i64::from(q);
             }
         }
-        // The f32 matrix itself is deliberately not retained: every
-        // backend consumes the quantized forms above, so storing it would
-        // only duplicate the layer's weights.
+        // The f32 weights are deliberately not retained: every backend
+        // consumes the quantized forms above, so storing them would only
+        // duplicate the layer's weights.
         PreparedFilter {
             k,
             c_out,

@@ -6,7 +6,8 @@
 //! module executes a (transformed) graph over evaluation batches and
 //! produces that decomposition.
 
-use crate::{Backend, EmuContext, EmuError};
+use crate::kernel::dispatch;
+use crate::{Accumulator, Backend, EmuContext, EmuError};
 use axnn::Graph;
 use axtensor::Tensor;
 use gpusim::{Phase, PhaseProfile};
@@ -30,7 +31,8 @@ pub struct EmulationReport {
     /// Images processed.
     pub images: usize,
     /// The LUT-GEMM kernel arm that executed the host GEMM (a
-    /// [`crate::kernel::KernelKind`] name), or `"none"` for backends
+    /// [`crate::kernel::KernelKind`] name; the scalar walker whenever the
+    /// accumulator model is order-sensitive), or `"none"` for backends
     /// that never enter the host LUT-GEMM (direct CPU loops, the
     /// simulated GPU, the accurate baseline).
     pub kernel: &'static str,
@@ -165,6 +167,9 @@ pub fn gpu_init_seconds(ctx: &EmuContext, dataset_bytes: u64) -> f64 {
 /// Quantization phase); subsequent runs over the same graph reuse the
 /// cached plans, so their Quantization share is input-side only.
 ///
+/// `accumulator` is the model the graph's layers were built with; it
+/// decides which kernel arm the report names.
+///
 /// Returns the per-batch outputs and the report.
 ///
 /// # Errors
@@ -174,6 +179,7 @@ pub fn run_approx(
     graph: &Graph,
     batches: &[Tensor<f32>],
     ctx: &EmuContext,
+    accumulator: Accumulator,
 ) -> Result<(Vec<Tensor<f32>>, EmulationReport), EmuError> {
     ctx.reset_profile();
     let mut outputs = Vec::with_capacity(batches.len());
@@ -223,7 +229,7 @@ pub fn run_approx(
             profile,
             images,
             kernel: match ctx.backend() {
-                Backend::CpuGemm => ctx.kernel().name(),
+                Backend::CpuGemm => dispatch::effective(ctx.kernel(), accumulator).name(),
                 Backend::CpuDirect | Backend::GpuSim => "none",
             },
         },
@@ -267,7 +273,7 @@ pub fn run_accurate_cpu(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::flow;
+    use crate::AxConv2D;
     use axnn::resnet::{cifar_input_shape, ResNetConfig};
     use axtensor::rng;
     use std::sync::Arc;
@@ -276,7 +282,9 @@ mod tests {
         let graph = ResNetConfig::with_depth(8).unwrap().build(1).unwrap();
         let mult = axmult::catalog::by_name("mul8s_exact").unwrap();
         let ctx = Arc::new(EmuContext::new(backend).with_chunk_size(2).unwrap());
-        let (ax, _) = flow::approximate_graph(&graph, &mult, &ctx).unwrap();
+        let (ax, _) = graph
+            .rewrite_convs(|conv| Arc::new(AxConv2D::from_conv2d(conv, &mult, Arc::clone(&ctx))))
+            .unwrap();
         let batches = vec![
             rng::uniform(cifar_input_shape(2), 1, -1.0, 1.0),
             rng::uniform(cifar_input_shape(2), 2, -1.0, 1.0),
@@ -287,7 +295,7 @@ mod tests {
     #[test]
     fn cpu_run_measures_wall_clock() {
         let (graph, batches, ctx) = tiny_setup(Backend::CpuGemm);
-        let (outputs, report) = run_approx(&graph, &batches, &ctx).unwrap();
+        let (outputs, report) = run_approx(&graph, &batches, &ctx, Accumulator::Exact).unwrap();
         assert_eq!(outputs.len(), 2);
         assert_eq!(report.images, 4);
         assert!(report.tcomp > 0.0);
@@ -298,7 +306,7 @@ mod tests {
     #[test]
     fn gpu_run_reports_modeled_time() {
         let (graph, batches, ctx) = tiny_setup(Backend::GpuSim);
-        let (_, report) = run_approx(&graph, &batches, &ctx).unwrap();
+        let (_, report) = run_approx(&graph, &batches, &ctx, Accumulator::Exact).unwrap();
         // Modeled seconds present in every phase.
         assert!(report.profile.seconds(Phase::LutLookup) > 0.0);
         assert!(report.profile.seconds(Phase::Quantization) > 0.0);
@@ -312,9 +320,9 @@ mod tests {
         // Modeled GPU time is deterministic: the first run pays every
         // layer's one-off filter-quantization charge, later runs don't.
         let (graph, batches, ctx) = tiny_setup(Backend::GpuSim);
-        let (_, first) = run_approx(&graph, &batches, &ctx).unwrap();
-        let (_, second) = run_approx(&graph, &batches, &ctx).unwrap();
-        let (_, third) = run_approx(&graph, &batches, &ctx).unwrap();
+        let (_, first) = run_approx(&graph, &batches, &ctx, Accumulator::Exact).unwrap();
+        let (_, second) = run_approx(&graph, &batches, &ctx, Accumulator::Exact).unwrap();
+        let (_, third) = run_approx(&graph, &batches, &ctx, Accumulator::Exact).unwrap();
         let q = |r: &EmulationReport| r.profile.seconds(Phase::Quantization);
         assert!(q(&second) < q(&first));
         assert!((q(&second) - q(&third)).abs() < 1e-12);
@@ -332,7 +340,7 @@ mod tests {
     #[test]
     fn images_per_second_coherent() {
         let (graph, batches, ctx) = tiny_setup(Backend::GpuSim);
-        let (_, report) = run_approx(&graph, &batches, &ctx).unwrap();
+        let (_, report) = run_approx(&graph, &batches, &ctx, Accumulator::Exact).unwrap();
         let ips = report.images_per_second();
         assert!((ips - report.images as f64 / report.total()).abs() < 1e-12);
         let empty = EmulationReport {
@@ -353,7 +361,13 @@ mod tests {
         // tinit makes total() positive — not 0/0 or images/0.
         let (graph, _, ctx) = tiny_setup(Backend::CpuGemm);
         let empty = axtensor::Tensor::<f32>::zeros(cifar_input_shape(0));
-        let (outputs, report) = run_approx(&graph, std::slice::from_ref(&empty), &ctx).unwrap();
+        let (outputs, report) = run_approx(
+            &graph,
+            std::slice::from_ref(&empty),
+            &ctx,
+            Accumulator::Exact,
+        )
+        .unwrap();
         assert_eq!(report.images, 0);
         assert!(report.total() > 0.0, "tinit must still be charged");
         assert_eq!(report.images_per_second(), 0.0);
@@ -370,9 +384,15 @@ mod tests {
         // zero images — must report identically. The modeled GPU backend
         // is deterministic, so the comparison is exact.
         let (graph, _, ctx) = tiny_setup(Backend::GpuSim);
-        let (none_out, none) = run_approx(&graph, &[], &ctx).unwrap();
+        let (none_out, none) = run_approx(&graph, &[], &ctx, Accumulator::Exact).unwrap();
         let zero = Tensor::<f32>::zeros(cifar_input_shape(0));
-        let (zero_out, zeroed) = run_approx(&graph, std::slice::from_ref(&zero), &ctx).unwrap();
+        let (zero_out, zeroed) = run_approx(
+            &graph,
+            std::slice::from_ref(&zero),
+            &ctx,
+            Accumulator::Exact,
+        )
+        .unwrap();
 
         // One output per input batch, shaped-empty where the batch was.
         assert!(none_out.is_empty());
@@ -399,7 +419,7 @@ mod tests {
     #[test]
     fn empty_batch_list_on_cpu_reports_zero_images() {
         let (graph, _, ctx) = tiny_setup(Backend::CpuGemm);
-        let (outputs, report) = run_approx(&graph, &[], &ctx).unwrap();
+        let (outputs, report) = run_approx(&graph, &[], &ctx, Accumulator::Exact).unwrap();
         assert!(outputs.is_empty());
         assert_eq!(report.images, 0);
         assert_eq!(report.images_per_second(), 0.0);
@@ -410,7 +430,7 @@ mod tests {
     #[test]
     fn report_json_contains_every_field() {
         let (graph, batches, ctx) = tiny_setup(Backend::GpuSim);
-        let (_, report) = run_approx(&graph, &batches, &ctx).unwrap();
+        let (_, report) = run_approx(&graph, &batches, &ctx, Accumulator::Exact).unwrap();
         let doc = report.to_json();
         for needle in [
             "\"schema\": \"tfapprox-session-report/2\"",
@@ -432,7 +452,7 @@ mod tests {
     #[test]
     fn cpu_gemm_report_names_the_active_kernel() {
         let (graph, batches, ctx) = tiny_setup(Backend::CpuGemm);
-        let (_, report) = run_approx(&graph, &batches, &ctx).unwrap();
+        let (_, report) = run_approx(&graph, &batches, &ctx, Accumulator::Exact).unwrap();
         assert_eq!(report.kernel, ctx.kernel().name());
         let needle = format!("\"kernel\": \"{}\"", report.kernel);
         assert!(report.to_json().contains(&needle), "{}", report.to_json());
@@ -441,7 +461,7 @@ mod tests {
     #[test]
     fn profile_fractions_form_distribution() {
         let (graph, batches, ctx) = tiny_setup(Backend::GpuSim);
-        let (_, report) = run_approx(&graph, &batches, &ctx).unwrap();
+        let (_, report) = run_approx(&graph, &batches, &ctx, Accumulator::Exact).unwrap();
         let sum: f64 = Phase::all()
             .iter()
             .map(|&p| report.profile.fraction(p))

@@ -275,9 +275,10 @@ pub struct ServeStats {
     /// Per-tenant counters, ordered by the key's display form. Empty
     /// until the first request is answered or shed on a deadline.
     pub per_tenant: Vec<TenantServeStats>,
-    /// The LUT-GEMM kernel arm the default tenant's session dispatches
-    /// to (a [`crate::kernel::KernelKind`] name), so serving throughput
-    /// rows are attributable to the kernel that produced them.
+    /// The LUT-GEMM kernel arm the default tenant's session runs (a
+    /// [`crate::kernel::KernelKind`] name, as [`crate::Session::kernel`]
+    /// reports it), so serving throughput rows are attributable to the
+    /// kernel that produced them.
     pub kernel: &'static str,
 }
 

@@ -386,7 +386,12 @@ impl Session {
         &self,
         batches: &[Tensor<f32>],
     ) -> Result<(Vec<Tensor<f32>>, EmulationReport), Error> {
-        Ok(runtime::run_approx(&self.graph, batches, &self.ctx)?)
+        Ok(runtime::run_approx(
+            &self.graph,
+            batches,
+            &self.ctx,
+            self.accumulator,
+        )?)
     }
 
     /// Recompile with a new multiplier [`Assignment`], **reusing the
@@ -459,11 +464,12 @@ impl Session {
         &self.ctx
     }
 
-    /// The LUT-GEMM kernel arm this session's host GEMM dispatches to
-    /// (selected at compile; see [`SessionBuilder::kernel`]).
+    /// The LUT-GEMM kernel arm this session's host GEMM runs: the arm
+    /// selected at compile (see [`SessionBuilder::kernel`]), or the
+    /// scalar walker when the accumulator model is order-sensitive.
     #[must_use]
     pub fn kernel(&self) -> KernelKind {
-        self.ctx.kernel()
+        crate::kernel::dispatch::effective(self.ctx.kernel(), self.accumulator)
     }
 
     /// The transformed (approximate) graph.
@@ -656,6 +662,12 @@ mod tests {
         assert_eq!(session.replaced_layers(), 7);
         assert_eq!(session.conv_layer_names().len(), 7);
         assert!(session.layers.iter().all(|l| l.is_prepared()));
+        // The transform keeps the work: the inserted observers add no MACs.
+        let shape = cifar_input_shape(1);
+        assert_eq!(
+            session.graph().mac_count(shape).unwrap(),
+            graph.mac_count(shape).unwrap()
+        );
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! - [`axnn`] — layers, graphs, the CIFAR-10 ResNet family, graph rewriting.
 //! - [`tfapprox`] — the paper's contribution: the compiled-session API
 //!   (`Session` / `SessionBuilder` / `Assignment` behind
-//!   `tfapprox::prelude`), the `AxConv2D`/`AxDense` operators, the
+//!   `tfapprox::prelude`), the `AxConv2D` operator, the
 //!   prepared-execution engine (`PreparedFilter` plans + the persistent
 //!   `WorkerPool`), and the three emulation backends.
 

@@ -1,12 +1,13 @@
 //! Integration tests for the non-ResNet network families and the
-//! extension features (AxDense, accumulator models, layer-wise flow).
+//! extension features (dense layers as 1×1 AxConv2D, accumulator models,
+//! layer-wise flow).
 
 use axnn::dataset::{top1_agreement, SyntheticCifar10};
 use axnn::models::{lenet, VggConfig};
 use axnn::resnet::cifar_input_shape;
 use std::sync::Arc;
 use tfapprox::prelude::*;
-use tfapprox::{Accumulator, AxDense, EmuContext};
+use tfapprox::{Accumulator, AxConv2D, EmuContext};
 
 #[test]
 fn vgg_transforms_and_tracks_float() {
@@ -61,7 +62,9 @@ fn graph_summary_reports_whole_resnet() {
 
 #[test]
 fn ax_dense_from_graph_dense_parts() {
-    // Build an AxDense from an accurate Dense and check they track.
+    // An approximate dense layer is a 1×1 AxConv2D with a bias: the dense
+    // weights are row-major `[in, out]`, already the HWCF layout of a
+    // `[1, 1, in, out]` filter. It must track the accurate Dense.
     let dense = axnn::layers::Dense::new(
         16,
         4,
@@ -69,14 +72,29 @@ fn ax_dense_from_graph_dense_parts() {
         vec![0.1; 4],
     );
     let mult = axmult::catalog::by_name("mul8s_exact").expect("catalog");
-    let ctx = Arc::new(EmuContext::new(Backend::CpuDirect));
-    let ax = AxDense::from_dense(&dense, &mult, ctx);
+    let filter = axtensor::Filter::from_vec(
+        axtensor::FilterShape::new(1, 1, 16, 4),
+        dense.weights().to_vec(),
+    )
+    .expect("filter");
     let input = axtensor::rng::uniform(axtensor::Shape4::new(2, 1, 1, 16), 5, -1.0, 1.0);
     use axnn::layer::Layer as _;
     let accurate = dense.forward(&[&input]).expect("dense");
-    let approx = ax.compute(&input).expect("axdense");
-    let diff = accurate.max_abs_diff(&approx).expect("shapes");
-    assert!(diff < 0.1, "quantization noise only, got {diff}");
+    for backend in [Backend::CpuDirect, Backend::CpuGemm, Backend::GpuSim] {
+        let ax = AxConv2D::new(
+            filter.clone(),
+            axtensor::ConvGeometry::default(),
+            mult.lut().clone(),
+            Arc::new(EmuContext::new(backend)),
+        )
+        .with_bias(dense.bias().to_vec());
+        let approx = ax.convolve(&input).expect("1x1 conv");
+        let diff = accurate.max_abs_diff(&approx).expect("shapes");
+        assert!(
+            diff < 0.1,
+            "{backend:?}: quantization noise only, got {diff}"
+        );
+    }
 }
 
 #[test]

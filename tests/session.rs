@@ -1,17 +1,12 @@
-//! The compiled-session equivalence suite.
-//!
-//! `Session` is a facade over the legacy free-function surface
-//! (`flow::approximate_graph` + `runtime::run_approx`), so it must be
-//! **bit-identical** to it — same transform, same plans, same arithmetic
-//! — on every backend. These tests are the one sanctioned consumer of
-//! the `#[doc(hidden)]` legacy modules outside tfapprox internals.
+//! The compiled-session suite: builder validation, thread/tile
+//! invariance, `reassign` plan reuse, and the kernel arm a session
+//! reports.
 
 use axnn::resnet::{cifar_input_shape, ResNetConfig};
 use axtensor::{rng, Tensor};
 use proptest::prelude::*;
 use std::sync::Arc;
 use tfapprox::prelude::*;
-use tfapprox::{flow, runtime};
 
 fn exact() -> AxMultiplier {
     axmult::catalog::by_name("mul8s_exact").unwrap()
@@ -23,50 +18,6 @@ fn rough() -> AxMultiplier {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
-
-    /// `Session::infer_batches` produces bit-identical outputs to the
-    /// legacy `flow::approximate_graph` + `runtime::run_approx` path on
-    /// all three backends, across seeds, multipliers, chunk sizes and
-    /// batch splits.
-    #[test]
-    fn session_bit_identical_to_legacy_path(
-        seed in 0u64..500,
-        use_rough in any::<bool>(),
-        chunk in 1usize..4,
-        two_batches in any::<bool>(),
-    ) {
-        let graph = ResNetConfig::with_depth(8).unwrap().build(seed).unwrap();
-        let mult = if use_rough { rough() } else { exact() };
-        let mut batches = vec![rng::uniform(cifar_input_shape(2), seed ^ 21, -1.0, 1.0)];
-        if two_batches {
-            batches.push(rng::uniform(cifar_input_shape(1), seed ^ 22, -1.0, 1.0));
-        }
-
-        for backend in [Backend::CpuDirect, Backend::CpuGemm, Backend::GpuSim] {
-            // Legacy: transform, then run batch-wise.
-            let ctx = Arc::new(EmuContext::new(backend).with_chunk_size(chunk).unwrap());
-            let (ax, replaced) = flow::approximate_graph(&graph, &mult, &ctx).unwrap();
-            let (legacy_out, legacy_rep) = runtime::run_approx(&ax, &batches, &ctx).unwrap();
-
-            // Session: compile, then run the same batches.
-            let session = Session::builder()
-                .backend(backend)
-                .chunk_size(chunk)
-                .multiplier(&mult)
-                .compile(&graph)
-                .unwrap();
-            let (out, rep) = session.infer_batches(&batches).unwrap();
-
-            prop_assert_eq!(session.replaced_layers(), replaced);
-            prop_assert_eq!(out.len(), legacy_out.len());
-            for (a, b) in out.iter().zip(&legacy_out) {
-                // Bit-identical: same shapes, same f32 bits.
-                prop_assert_eq!(a, b, "session != legacy on {:?}", backend);
-            }
-            prop_assert_eq!(rep.images, legacy_rep.images);
-            prop_assert_eq!(rep.backend, legacy_rep.backend);
-        }
-    }
 
     /// The builder rejects zero chunk sizes and thread counts as
     /// compile-time errors, and accepts every positive value.
@@ -204,5 +155,29 @@ fn reassign_bit_identical_to_fresh_compile() {
         let a = reassigned.infer(&input).unwrap();
         let b = fresh.infer(&input).unwrap();
         assert_eq!(a, b, "reassign != fresh compile on {backend:?}");
+    }
+}
+
+/// Order-sensitive accumulator models always run the scalar walker, so a
+/// `Saturating(12)` host-GEMM session must name `scalar-tiled` wherever it
+/// reports a kernel — the session, its report and its serving stats —
+/// whichever arm the context selected.
+#[test]
+fn narrow_accumulator_session_reports_the_scalar_arm() {
+    let graph = ResNetConfig::with_depth(8).unwrap().build(5).unwrap();
+    for kernel in available_kernels() {
+        let session = Session::builder()
+            .backend(Backend::CpuGemm)
+            .kernel(kernel)
+            .accumulator(Accumulator::Saturating(12))
+            .multiplier(&exact())
+            .compile(&graph)
+            .unwrap();
+        assert_eq!(session.kernel(), KernelKind::ScalarTiled, "{kernel}");
+        let input = rng::uniform(cifar_input_shape(1), 3, -1.0, 1.0);
+        let (_, report) = session.infer_batches(std::slice::from_ref(&input)).unwrap();
+        assert_eq!(report.kernel, "scalar-tiled", "{kernel}");
+        let engine = ServeEngine::new(Arc::new(session), ServeConfig::new()).unwrap();
+        assert_eq!(engine.stats().kernel, "scalar-tiled", "{kernel}");
     }
 }
