@@ -51,5 +51,5 @@ mod err;
 pub use catalog::{catalog, AxMultiplier};
 pub use err::MultError;
 pub use error::ErrorMetrics;
-pub use lut::{MulLut, Signedness, SimdTables, LUT_BYTES, LUT_ENTRIES};
+pub use lut::{MulLut, Signedness, LUT_BYTES, LUT_ENTRIES};
 pub use profile::MagnitudeProfile;

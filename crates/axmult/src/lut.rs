@@ -1,11 +1,13 @@
-//! The 256×256 multiplier look-up table.
+//! The 256×256 multiplier look-up table, stored once with a trailing
+//! zero entry so the same allocation serves scalar lookups and the
+//! element-gather kernels ([`MulLut::padded_entries`]).
 
 use crate::MultError;
 use axcircuit::truth::TruthTable;
 use bytes::{Buf, BufMut};
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// Number of entries in an 8×8 multiplier truth table.
 pub const LUT_ENTRIES: usize = 1 << 16;
@@ -81,77 +83,6 @@ impl fmt::Display for Signedness {
     }
 }
 
-/// SIMD-friendly derived layouts of one multiplier truth table, built
-/// once per [`MulLut`] and cached (see [`MulLut::simd_tables`]).
-///
-/// Two layouts serve the two vector LUT-GEMM mechanisms:
-///
-/// - **Nibble sub-table planes** for byte-shuffle kernels. The 16-bit
-///   products are split into a low-byte plane and a high-byte plane, both
-///   indexed by the stitched `(b << 8) | a` index. Within a plane, the
-///   512-byte row of a fixed filter byte `b` decomposes into **16
-///   sub-tables of 16 bytes**, one per high nibble of the activation byte
-///   `a` — exactly the shape a 16-lane byte shuffle (`pshufb` /
-///   `vqtbl4q_u8`) can gather from: the low nibble selects the lane, the
-///   high nibble selects the sub-table.
-/// - **A gather-padded row table** for element-gather kernels. The raw
-///   `u16` entries plus **one trailing zero entry**, so a 32-bit gather of
-///   the 2-byte entry at row offset 255 (which reads 2 bytes past the
-///   512-byte row) stays in bounds even for the last row.
-///
-/// Both are pure re-encodings of the same products; kernels built on them
-/// stay bit-identical to scalar [`MulLut::fetch`] loops.
-pub struct SimdTables {
-    lo: Box<[u8; LUT_ENTRIES]>,
-    hi: Box<[u8; LUT_ENTRIES]>,
-    padded: Box<[u16]>,
-}
-
-impl SimdTables {
-    fn derive(entries: &[u16; LUT_ENTRIES]) -> Self {
-        let mut lo = vec![0u8; LUT_ENTRIES];
-        let mut hi = vec![0u8; LUT_ENTRIES];
-        let mut padded = vec![0u16; LUT_ENTRIES + 1];
-        for (i, &e) in entries.iter().enumerate() {
-            lo[i] = (e & 0xFF) as u8;
-            hi[i] = (e >> 8) as u8;
-            padded[i] = e;
-        }
-        let lo: Box<[u8; LUT_ENTRIES]> = lo.into_boxed_slice().try_into().expect("plane size");
-        let hi: Box<[u8; LUT_ENTRIES]> = hi.into_boxed_slice().try_into().expect("plane size");
-        SimdTables {
-            lo,
-            hi,
-            padded: padded.into_boxed_slice(),
-        }
-    }
-
-    /// The low-byte plane: entry `(b << 8) | a` is the low byte of
-    /// [`MulLut::fetch`]`(a, b)`.
-    #[inline]
-    #[must_use]
-    pub fn lo_plane(&self) -> &[u8; LUT_ENTRIES] {
-        &self.lo
-    }
-
-    /// The high-byte plane: entry `(b << 8) | a` is the high byte of
-    /// [`MulLut::fetch`]`(a, b)`.
-    #[inline]
-    #[must_use]
-    pub fn hi_plane(&self) -> &[u8; LUT_ENTRIES] {
-        &self.hi
-    }
-
-    /// The raw entries with one extra zero entry appended
-    /// (`LUT_ENTRIES + 1` long), safe for 32-bit gathers of the 2-byte
-    /// entry at any stitched index.
-    #[inline]
-    #[must_use]
-    pub fn padded(&self) -> &[u16] {
-        &self.padded
-    }
-}
-
 /// Truth table of an 8×8 (possibly approximate) multiplier.
 ///
 /// Entry `(b << 8) | a` holds the raw 16-bit product pattern for operand
@@ -159,25 +90,11 @@ impl SimdTables {
 /// for its `tex1Dfetch<ushort>` lookups. The table is immutable and cheaply
 /// cloneable (`Arc`-backed), since emulation shares one table across many
 /// worker threads / simulated thread blocks.
-#[derive(Clone)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct MulLut {
-    entries: Arc<[u16; LUT_ENTRIES]>,
+    entries: Arc<[u16; LUT_ENTRIES + 1]>,
     signedness: Signedness,
-    /// Lazily derived SIMD layouts, shared across clones so a LUT used by
-    /// many sessions/threads derives them once.
-    simd: Arc<OnceLock<SimdTables>>,
 }
-
-impl PartialEq for MulLut {
-    fn eq(&self, other: &Self) -> bool {
-        // The SIMD cache is derived state — identity is the products and
-        // the signedness, exactly as before the cache existed.
-        self.signedness == other.signedness
-            && (Arc::ptr_eq(&self.entries, &other.entries) || self.entries == other.entries)
-    }
-}
-
-impl Eq for MulLut {}
 
 impl fmt::Debug for MulLut {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -189,11 +106,19 @@ impl fmt::Debug for MulLut {
 }
 
 impl MulLut {
-    fn from_arc_entries(entries: Arc<[u16; LUT_ENTRIES]>, signedness: Signedness) -> Self {
+    /// Store `LUT_ENTRIES` products in stitched order, appending the
+    /// trailing zero entry.
+    fn from_entries(products: impl Iterator<Item = u16>, signedness: Signedness) -> Self {
+        let mut entries = Vec::with_capacity(LUT_ENTRIES + 1);
+        entries.extend(products);
+        entries.push(0);
+        let boxed: Box<[u16; LUT_ENTRIES + 1]> = entries
+            .into_boxed_slice()
+            .try_into()
+            .expect("entry count fixed at LUT_ENTRIES");
         MulLut {
-            entries,
+            entries: Arc::from(boxed),
             signedness,
-            simd: Arc::new(OnceLock::new()),
         }
     }
 
@@ -215,16 +140,13 @@ impl MulLut {
     /// ```
     #[must_use]
     pub fn from_fn(signedness: Signedness, mut f: impl FnMut(i32, i32) -> i32) -> Self {
-        let mut entries = vec![0u16; LUT_ENTRIES];
-        for b_raw in 0..256usize {
-            for a_raw in 0..256usize {
-                let a = decode_operand(signedness, a_raw as u8);
-                let b = decode_operand(signedness, b_raw as u8);
-                let p = f(a, b);
-                entries[(b_raw << 8) | a_raw] = (p as i64 & 0xFFFF) as u16;
-            }
-        }
-        MulLut::from_arc_entries(entries_into_arc(entries), signedness)
+        // Stitched index `(b << 8) | a`: the low byte is operand `a`.
+        let products = (0..LUT_ENTRIES).map(|i| {
+            let a = decode_operand(signedness, i as u8);
+            let b = decode_operand(signedness, (i >> 8) as u8);
+            (f(a, b) as i64 & 0xFFFF) as u16
+        });
+        MulLut::from_entries(products, signedness)
     }
 
     /// The exact multiplier.
@@ -245,14 +167,8 @@ impl MulLut {
                 width_b: tt.width_b(),
             });
         }
-        let mut entries = vec![0u16; LUT_ENTRIES];
-        for (i, e) in entries.iter_mut().enumerate() {
-            *e = (tt.entries()[i] & 0xFFFF) as u16;
-        }
-        Ok(MulLut::from_arc_entries(
-            entries_into_arc(entries),
-            signedness,
-        ))
+        let products = tt.entries().iter().map(|&e| (e & 0xFFFF) as u16);
+        Ok(MulLut::from_entries(products, signedness))
     }
 
     /// Deserialize from the flat little-endian `u16[65536]` binary layout.
@@ -268,14 +184,8 @@ impl MulLut {
             });
         }
         let mut buf = bytes;
-        let mut entries = vec![0u16; LUT_ENTRIES];
-        for e in entries.iter_mut() {
-            *e = buf.get_u16_le();
-        }
-        Ok(MulLut::from_arc_entries(
-            entries_into_arc(entries),
-            signedness,
-        ))
+        let products = (0..LUT_ENTRIES).map(|_| buf.get_u16_le());
+        Ok(MulLut::from_entries(products, signedness))
     }
 
     /// Serialize to the flat little-endian `u16[65536]` binary layout
@@ -283,7 +193,7 @@ impl MulLut {
     #[must_use]
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(LUT_BYTES);
-        for &e in self.entries.iter() {
+        for &e in self.entries() {
             out.put_u16_le(e);
         }
         out
@@ -379,17 +289,18 @@ impl MulLut {
     /// The raw 16-bit entries (stitched indexing).
     #[must_use]
     pub fn entries(&self) -> &[u16; LUT_ENTRIES] {
-        &self.entries
+        self.entries[..LUT_ENTRIES]
+            .try_into()
+            .expect("the stored table is LUT_ENTRIES + 1 long")
     }
 
-    /// SIMD-friendly derived layouts of this table (see [`SimdTables`]).
-    ///
-    /// Derived lazily on first use and cached; clones of this `MulLut`
-    /// share the cache, so a table used by many sessions pays the
-    /// derivation cost once.
+    /// The raw entries followed by one zero entry — the layout of the
+    /// element-gather kernels, whose 32-bit read of the 2-byte entry at
+    /// row offset 255 runs 2 bytes past the 512-byte row; the trailing
+    /// zero keeps that read in bounds even for the last row.
     #[must_use]
-    pub fn simd_tables(&self) -> &SimdTables {
-        self.simd.get_or_init(|| SimdTables::derive(&self.entries))
+    pub fn padded_entries(&self) -> &[u16; LUT_ENTRIES + 1] {
+        &self.entries
     }
 }
 
@@ -398,14 +309,6 @@ fn decode_operand(signedness: Signedness, raw: u8) -> i32 {
         Signedness::Unsigned => i32::from(raw),
         Signedness::Signed => i32::from(raw as i8),
     }
-}
-
-fn entries_into_arc(entries: Vec<u16>) -> Arc<[u16; LUT_ENTRIES]> {
-    let boxed: Box<[u16; LUT_ENTRIES]> = entries
-        .into_boxed_slice()
-        .try_into()
-        .expect("entry count fixed at LUT_ENTRIES");
-    Arc::from(boxed)
 }
 
 #[cfg(test)]
@@ -543,27 +446,14 @@ mod tests {
     }
 
     #[test]
-    fn simd_tables_match_entries() {
+    fn padded_entries_are_entries_plus_a_trailing_zero() {
         for signedness in [Signedness::Signed, Signedness::Unsigned] {
             let lut = MulLut::from_fn(signedness, |a, b| (a * b) & !0x7);
-            let simd = lut.simd_tables();
-            assert_eq!(simd.padded().len(), LUT_ENTRIES + 1);
-            assert_eq!(simd.padded()[LUT_ENTRIES], 0);
-            for i in 0..LUT_ENTRIES {
-                let e = lut.entries()[i];
-                assert_eq!(simd.lo_plane()[i], (e & 0xFF) as u8);
-                assert_eq!(simd.hi_plane()[i], (e >> 8) as u8);
-                assert_eq!(simd.padded()[i], e);
-            }
+            let padded = lut.padded_entries();
+            assert_eq!(&padded[..LUT_ENTRIES], &lut.entries()[..]);
+            assert_eq!(padded[LUT_ENTRIES], 0);
+            // A clone shares the one stored table.
+            assert!(std::ptr::eq(padded, lut.clone().padded_entries()));
         }
-    }
-
-    #[test]
-    fn simd_tables_shared_across_clones() {
-        let lut = MulLut::exact(Signedness::Signed);
-        let clone = lut.clone();
-        let a: *const SimdTables = lut.simd_tables();
-        let b: *const SimdTables = clone.simd_tables();
-        assert!(std::ptr::eq(a, b), "clones must share the derived cache");
     }
 }

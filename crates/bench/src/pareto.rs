@@ -37,7 +37,7 @@
 //! path (default: `BENCH_pareto.json` at the workspace root).
 
 use crate::json;
-use axmult::{AxMultiplier, ErrorMetrics, Signedness};
+use axmult::{AxMultiplier, ErrorMetrics, MultError, Signedness};
 use axnn::dataset::{argmax_classes, class_agreement, SyntheticCifar10};
 use axnn::resnet::ResNetConfig;
 use std::path::{Path, PathBuf};
@@ -150,8 +150,14 @@ pub fn compiled_entry() -> Result<AxMultiplier, Box<dyn std::error::Error>> {
     let threads = std::thread::available_parallelism().map_or(2, usize::from);
     let pool = WorkerPool::new(threads);
     let compiled = compile_netlist(&netlist, COMPILED_NAME, Signedness::Unsigned, &pool)?;
-    compiled.register()?;
-    Ok(compiled.multiplier().clone())
+    match compiled.register() {
+        Ok(()) => Ok(compiled.multiplier().clone()),
+        // A concurrent caller registered the same netlist first.
+        Err(e @ MultError::DuplicateMultiplier { .. }) => {
+            axmult::registry::get(COMPILED_NAME).ok_or_else(|| e.into())
+        }
+        Err(e) => Err(e.into()),
+    }
 }
 
 /// The sweep's multiplier list: the full catalog plus the compiled

@@ -3,7 +3,7 @@
 use crate::accumulator::Accumulator;
 use crate::backend::{self, ConvSpec};
 use crate::prepared::PreparedFilter;
-use crate::{Backend, EmuContext, EmuError};
+use crate::{Backend, EmuContext, Error};
 use axmult::{AxMultiplier, MulLut, Signedness};
 use axnn::layer::{check_arity, Layer};
 use axnn::layers::Conv2D;
@@ -214,9 +214,9 @@ impl AxConv2D {
     /// Reject filter banks whose weights would bake NaN/Inf-derived
     /// coefficients into a cached plan. `filter_range` comes from the
     /// NaN-propagating min/max scan, so this check is O(1).
-    fn validate_filter_weights(&self) -> Result<(), EmuError> {
+    fn validate_filter_weights(&self) -> Result<(), Error> {
         if !self.filter_range.0.is_finite() || !self.filter_range.1.is_finite() {
-            return Err(EmuError::Config(
+            return Err(Error::Config(
                 "filter weights contain non-finite values".to_owned(),
             ));
         }
@@ -229,9 +229,9 @@ impl AxConv2D {
     ///
     /// # Errors
     ///
-    /// Returns [`EmuError::Config`] if the filter weights are non-finite
+    /// Returns [`Error::Config`] if the filter weights are non-finite
     /// (the same guard the forward path enforces).
-    pub fn prepare(&self) -> Result<(), EmuError> {
+    pub fn prepare(&self) -> Result<(), Error> {
         self.validate_filter_weights()?;
         let (_, built) = self.plan();
         if let Some(profile) = built {
@@ -266,7 +266,7 @@ impl AxConv2D {
     ///
     /// # Errors
     ///
-    /// Returns [`EmuError::Config`] for a non-finite or inverted input
+    /// Returns [`Error::Config`] for a non-finite or inverted input
     /// range or a filter bank with non-finite weights; propagates shape
     /// errors.
     pub fn convolve_with_range(
@@ -274,7 +274,7 @@ impl AxConv2D {
         input: &Tensor<f32>,
         lo: f32,
         hi: f32,
-    ) -> Result<Tensor<f32>, EmuError> {
+    ) -> Result<Tensor<f32>, Error> {
         self.convolve_segmented(input, &[(lo, hi)], &SegmentTable::single(input.shape().n))
     }
 
@@ -284,7 +284,7 @@ impl AxConv2D {
     /// # Errors
     ///
     /// Propagates shape errors.
-    pub fn convolve(&self, input: &Tensor<f32>) -> Result<Tensor<f32>, EmuError> {
+    pub fn convolve(&self, input: &Tensor<f32>) -> Result<Tensor<f32>, Error> {
         let (lo, hi) = ops::min_max(input);
         self.convolve_with_range(input, lo, hi)
     }
@@ -305,7 +305,7 @@ impl AxConv2D {
     ///
     /// # Errors
     ///
-    /// Returns [`EmuError::Config`] if any segment's range is non-finite
+    /// Returns [`Error::Config`] if any segment's range is non-finite
     /// or inverted, if the filter weights are non-finite, if the segment
     /// table does not cover exactly the batch, or if `bounds` does not
     /// cover exactly the segments; propagates shape errors.
@@ -314,10 +314,10 @@ impl AxConv2D {
         input: &Tensor<f32>,
         bounds: &[(f32, f32)],
         segments: &SegmentTable,
-    ) -> Result<Tensor<f32>, EmuError> {
+    ) -> Result<Tensor<f32>, Error> {
         let n = input.shape().n;
         if segments.total() != n || bounds.len() != segments.len() {
-            return Err(EmuError::Config(format!(
+            return Err(Error::Config(format!(
                 "fused batch of {n} images: segment table covers {} images with {} \
                  segments but {} ranges were supplied",
                 segments.total(),
@@ -772,12 +772,12 @@ mod tests {
         let err = layer
             .convolve_segmented(&input, &[(-1.0, 1.0)], &SegmentTable::from_counts(&[1]))
             .unwrap_err();
-        assert!(matches!(err, EmuError::Config(_)), "{err}");
+        assert!(matches!(err, Error::Config(_)), "{err}");
         // One range missing.
         let err = layer
             .convolve_segmented(&input, &[(-1.0, 1.0)], &SegmentTable::from_counts(&[1, 1]))
             .unwrap_err();
-        assert!(matches!(err, EmuError::Config(_)), "{err}");
+        assert!(matches!(err, Error::Config(_)), "{err}");
         // A NaN range in any segment is rejected, as solo would.
         let err = layer
             .convolve_segmented(

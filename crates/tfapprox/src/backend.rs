@@ -22,7 +22,7 @@
 use crate::accumulator::Accumulator;
 use crate::kernel;
 use crate::prepared::PreparedFilter;
-use crate::{Backend, EmuContext, EmuError};
+use crate::{Backend, EmuContext, Error};
 use axmult::MulLut;
 use axquant::{FilterQuantization, QuantParams};
 use axtensor::{ops::Filter, ConvGeometry, Matrix, SegmentTable, Shape4, Tensor};
@@ -64,10 +64,10 @@ pub struct ConvSpec<'a> {
 ///
 /// # Errors
 ///
-/// Returns [`EmuError::Config`] for non-finite or inverted ranges.
-pub fn validate_range(lo: f32, hi: f32) -> Result<(), EmuError> {
+/// Returns [`Error::Config`] for non-finite or inverted ranges.
+pub fn validate_range(lo: f32, hi: f32) -> Result<(), Error> {
     if !lo.is_finite() || !hi.is_finite() || lo > hi {
-        return Err(EmuError::Config(format!(
+        return Err(Error::Config(format!(
             "invalid input range [{lo}, {hi}]: bounds must be finite with lo <= hi"
         )));
     }
@@ -117,7 +117,7 @@ pub fn run_cpu_direct(
     spec: &ConvSpec<'_>,
     plan: &PreparedFilter,
     use_lut: bool,
-) -> Result<(Tensor<f32>, PhaseProfile), EmuError> {
+) -> Result<(Tensor<f32>, PhaseProfile), Error> {
     let fs = spec.filter.shape();
     let out_shape = spec.geometry.output_shape(input.shape(), fs)?;
     let (pad_h, pad_w) = spec.geometry.pad_before(input.shape(), fs);
@@ -214,7 +214,7 @@ pub fn run_cpu_direct(
 
 /// Concatenate per-chunk (or per-segment) outputs along the batch axis,
 /// moving a lone part instead of copying it.
-fn concat_parts(mut parts: Vec<Tensor<f32>>) -> Result<Tensor<f32>, EmuError> {
+fn concat_parts(mut parts: Vec<Tensor<f32>>) -> Result<Tensor<f32>, Error> {
     if parts.len() == 1 {
         return Ok(parts.pop().expect("one part"));
     }
@@ -230,8 +230,8 @@ pub(crate) fn run_per_segment(
     spec: &ConvSpec<'_>,
     seg_q: &[QuantParams],
     segments: &SegmentTable,
-    mut run: impl FnMut(&Tensor<f32>, &ConvSpec<'_>) -> Result<(Tensor<f32>, PhaseProfile), EmuError>,
-) -> Result<(Tensor<f32>, PhaseProfile), EmuError> {
+    mut run: impl FnMut(&Tensor<f32>, &ConvSpec<'_>) -> Result<(Tensor<f32>, PhaseProfile), Error>,
+) -> Result<(Tensor<f32>, PhaseProfile), Error> {
     let mut parts: Vec<Tensor<f32>> = Vec::new();
     let mut profile = PhaseProfile::new();
     for (s, (start, end)) in segments.iter().enumerate() {
@@ -277,7 +277,7 @@ pub(crate) fn run_per_segment(
 ///
 /// # Errors
 ///
-/// Returns [`EmuError::Config`] if the segment table does not cover
+/// Returns [`Error::Config`] if the segment table does not cover
 /// exactly the batch or `seg_q` does not cover exactly the segments;
 /// propagates shape errors.
 pub fn run_cpu_gemm_fused(
@@ -287,13 +287,13 @@ pub fn run_cpu_gemm_fused(
     segments: &SegmentTable,
     plan: &PreparedFilter,
     ctx: &EmuContext,
-) -> Result<(Tensor<f32>, PhaseProfile), EmuError> {
+) -> Result<(Tensor<f32>, PhaseProfile), Error> {
     let fs = spec.filter.shape();
     let mut profile = PhaseProfile::new();
     let out_shape = spec.geometry.output_shape(input.shape(), fs)?;
     let n = input.shape().n;
     if segments.total() != n || seg_q.len() != segments.len() {
-        return Err(EmuError::Config(format!(
+        return Err(Error::Config(format!(
             "fused batch of {n} images: segment table covers {} images with {} \
              segments but {} input-quantization sets were supplied",
             segments.total(),
@@ -398,7 +398,7 @@ pub fn run_gpusim(
     spec: &ConvSpec<'_>,
     plan: &PreparedFilter,
     ctx: &EmuContext,
-) -> Result<(Tensor<f32>, PhaseProfile), EmuError> {
+) -> Result<(Tensor<f32>, PhaseProfile), Error> {
     let fs = spec.filter.shape();
     let dev = ctx.device();
     let mut profile = PhaseProfile::new();
@@ -485,10 +485,7 @@ pub(crate) fn plan_build_profile(
 /// # Errors
 ///
 /// Propagates shape errors.
-pub fn quantized_reference(
-    input: &Tensor<f32>,
-    spec: &ConvSpec<'_>,
-) -> Result<Tensor<f32>, EmuError> {
+pub fn quantized_reference(input: &Tensor<f32>, spec: &ConvSpec<'_>) -> Result<Tensor<f32>, Error> {
     let exact = MulLut::exact(spec.lut.signedness());
     let spec_exact = ConvSpec {
         lut: &exact,
@@ -659,7 +656,7 @@ mod tests {
             &ctx,
         )
         .unwrap_err();
-        assert!(matches!(err, EmuError::Config(_)), "{err}");
+        assert!(matches!(err, Error::Config(_)), "{err}");
     }
 
     #[test]

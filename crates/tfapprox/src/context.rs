@@ -3,7 +3,7 @@
 
 use crate::kernel::{auto_kernel, KernelKind, TileConfig};
 use crate::pool::WorkerPool;
-use crate::EmuError;
+use crate::Error;
 use gpusim::{DeviceConfig, EventCounts, PhaseProfile, TextureCache};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
@@ -93,11 +93,11 @@ impl EmuContext {
     ///
     /// # Errors
     ///
-    /// Returns [`EmuError::Config`] if `chunk_size` is 0 — a zero chunk
+    /// Returns [`Error::Config`] if `chunk_size` is 0 — a zero chunk
     /// would make the chunked GEMM loop silently process nothing.
-    pub fn with_chunk_size(mut self, chunk_size: usize) -> Result<Self, EmuError> {
+    pub fn with_chunk_size(mut self, chunk_size: usize) -> Result<Self, Error> {
         if chunk_size == 0 {
-            return Err(EmuError::Config(
+            return Err(Error::Config(
                 "chunk size must be positive (got 0)".to_owned(),
             ));
         }
@@ -128,11 +128,11 @@ impl EmuContext {
     ///
     /// # Errors
     ///
-    /// Returns [`EmuError::Config`] if `threads` is 0 — a zero-worker
+    /// Returns [`Error::Config`] if `threads` is 0 — a zero-worker
     /// pool would deadlock the GEMM backend on its first chunk.
-    pub fn with_threads(mut self, threads: usize) -> Result<Self, EmuError> {
+    pub fn with_threads(mut self, threads: usize) -> Result<Self, Error> {
         if threads == 0 {
-            return Err(EmuError::Config(
+            return Err(Error::Config(
                 "thread count must be positive (got 0)".to_owned(),
             ));
         }
@@ -154,18 +154,18 @@ impl EmuContext {
         self.tiles
     }
 
-    /// Force a specific LUT-GEMM kernel arm instead of the process-wide
+    /// Force a specific LUT-GEMM kernel arm instead of the CPU's
     /// automatic choice ([`auto_kernel`]). `KernelKind::ScalarTiled` is
     /// the always-available escape hatch.
     ///
     /// # Errors
     ///
-    /// Returns [`EmuError::Config`] if this process cannot execute
+    /// Returns [`Error::Config`] if this process cannot execute
     /// `kernel` (wrong architecture or missing CPU features) — an
     /// explicit override must never silently downgrade.
-    pub fn with_kernel(mut self, kernel: KernelKind) -> Result<Self, EmuError> {
+    pub fn with_kernel(mut self, kernel: KernelKind) -> Result<Self, Error> {
         if !kernel.is_supported() {
-            return Err(EmuError::Config(format!(
+            return Err(Error::Config(format!(
                 "kernel '{kernel}' is not supported on this host"
             )));
         }
@@ -252,7 +252,7 @@ mod tests {
         let err = EmuContext::new(Backend::CpuGemm)
             .with_chunk_size(0)
             .unwrap_err();
-        assert!(matches!(err, EmuError::Config(_)), "{err}");
+        assert!(matches!(err, Error::Config(_)), "{err}");
         assert!(err.to_string().contains("chunk size"), "{err}");
     }
 
@@ -261,7 +261,7 @@ mod tests {
         let err = EmuContext::new(Backend::CpuGemm)
             .with_threads(0)
             .unwrap_err();
-        assert!(matches!(err, EmuError::Config(_)), "{err}");
+        assert!(matches!(err, Error::Config(_)), "{err}");
         assert!(err.to_string().contains("thread count"), "{err}");
     }
 
@@ -289,7 +289,7 @@ mod tests {
         let err = EmuContext::new(Backend::CpuGemm)
             .with_kernel(KernelKind::Avx2Gather)
             .unwrap_err();
-        assert!(matches!(err, EmuError::Config(_)), "{err}");
+        assert!(matches!(err, Error::Config(_)), "{err}");
     }
 
     #[test]

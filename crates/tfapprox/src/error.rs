@@ -1,81 +1,25 @@
 use std::fmt;
 
-/// Errors from the emulation layer.
-#[derive(Debug)]
-#[non_exhaustive]
-pub enum EmuError {
-    /// A tensor/shape error.
-    Tensor(axtensor::TensorError),
-    /// A graph error.
-    Nn(axnn::NnError),
-    /// A multiplier error.
-    Mult(axmult::MultError),
-    /// An invalid emulation parameter.
-    Config(String),
-}
-
-impl fmt::Display for EmuError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            EmuError::Tensor(e) => write!(f, "tensor error: {e}"),
-            EmuError::Nn(e) => write!(f, "graph error: {e}"),
-            EmuError::Mult(e) => write!(f, "multiplier error: {e}"),
-            EmuError::Config(msg) => write!(f, "configuration error: {msg}"),
-        }
-    }
-}
-
-impl std::error::Error for EmuError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            EmuError::Tensor(e) => Some(e),
-            EmuError::Nn(e) => Some(e),
-            EmuError::Mult(e) => Some(e),
-            EmuError::Config(_) => None,
-        }
-    }
-}
-
-impl From<axtensor::TensorError> for EmuError {
-    fn from(e: axtensor::TensorError) -> Self {
-        EmuError::Tensor(e)
-    }
-}
-
-impl From<axnn::NnError> for EmuError {
-    fn from(e: axnn::NnError) -> Self {
-        EmuError::Nn(e)
-    }
-}
-
-impl From<axmult::MultError> for EmuError {
-    fn from(e: axmult::MultError) -> Self {
-        EmuError::Mult(e)
-    }
-}
-
-/// The unified error of the compiled-session API.
+/// The one error type of the crate.
 ///
-/// Every failure mode of building and running a [`crate::Session`] —
-/// emulation configuration ([`EmuError`], which also carries quantization
-/// failures as its `Config` variant), graph construction/execution
-/// ([`axnn::NnError`]), multiplier-catalog lookups
-/// ([`axmult::MultError`]), tensor/shape errors
+/// Every failure mode of the emulation layer and of building and running
+/// a [`crate::Session`] — configuration and quantization (`Config`),
+/// graph construction/execution ([`axnn::NnError`]), multiplier-catalog
+/// lookups ([`axmult::MultError`]), tensor/shape errors
 /// ([`axtensor::TensorError`]), and serving-engine rejections
-/// ([`crate::serve::ServeError`]) — converts into this one type via
-/// `From`, so `?` works uniformly at every call site.
+/// ([`crate::serve::ServeError`]) — is, or converts into, this one type
+/// via `From`, so `?` works uniformly at every call site.
 #[derive(Debug)]
 #[non_exhaustive]
 pub enum Error {
-    /// An emulation-layer error (backend, quantization, configuration).
-    Emu(EmuError),
     /// A graph construction or execution error.
     Nn(axnn::NnError),
     /// A multiplier/catalog error.
     Mult(axmult::MultError),
     /// A tensor/shape error.
     Tensor(axtensor::TensorError),
-    /// An invalid session configuration.
+    /// An invalid emulation or session parameter (including a
+    /// non-finite quantization range).
     Config(String),
     /// A serving-engine rejection (backpressure shed, shutdown, or a
     /// failed batch) — every request outcome is explicit, never a silent
@@ -92,11 +36,10 @@ pub enum Error {
 impl fmt::Display for Error {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Error::Emu(e) => write!(f, "{e}"),
             Error::Nn(e) => write!(f, "graph error: {e}"),
             Error::Mult(e) => write!(f, "multiplier error: {e}"),
             Error::Tensor(e) => write!(f, "tensor error: {e}"),
-            Error::Config(msg) => write!(f, "session configuration error: {msg}"),
+            Error::Config(msg) => write!(f, "configuration error: {msg}"),
             Error::Serve(e) => write!(f, "serving error: {e}"),
             Error::Compile(e) => write!(f, "multiplier compilation error: {e}"),
             Error::Io(e) => write!(f, "i/o error: {e}"),
@@ -107,7 +50,6 @@ impl fmt::Display for Error {
 impl std::error::Error for Error {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            Error::Emu(e) => Some(e),
             Error::Nn(e) => Some(e),
             Error::Mult(e) => Some(e),
             Error::Tensor(e) => Some(e),
@@ -134,12 +76,6 @@ impl From<std::io::Error> for Error {
 impl From<crate::serve::ServeError> for Error {
     fn from(e: crate::serve::ServeError) -> Self {
         Error::Serve(e)
-    }
-}
-
-impl From<EmuError> for Error {
-    fn from(e: EmuError) -> Self {
-        Error::Emu(e)
     }
 }
 

@@ -2,24 +2,20 @@
 //! a session (or forced explicitly), then threaded through every GEMM
 //! call site.
 //!
-//! Selection precedence, resolved once per process for the automatic
-//! path:
+//! The choice is one rule:
 //!
 //! 1. An explicit override ([`crate::SessionBuilder::kernel`] /
 //!    [`crate::EmuContext::with_kernel`]) — always wins, rejected up
 //!    front if the CPU cannot run it.
-//! 2. The `TFAPPROX_KERNEL` environment variable (a [`KernelKind`] name;
-//!    `auto`, unknown names, and unsupported kernels fall through).
-//! 3. Runtime calibration: on an AVX2-capable x86-64 host the two SIMD
-//!    arms race on a synthetic panel and the faster one wins; elsewhere
-//!    the scalar walker is the only arm.
+//! 2. Otherwise the hardware: `avx2-gather` on an AVX2-capable x86-64
+//!    host, `scalar-tiled` everywhere else ([`auto_kernel`]).
 //!
-//! Every arm is bit-identical for the models it handles, so whichever
-//! kernel the machinery lands on **cannot change results** — only time.
-//! Order-sensitive accumulator models ([`Accumulator::Saturating`] /
-//! [`Accumulator::Wrapping`]) always run the scalar walker, whose fold
-//! order is the specified one; SIMD reassociation is reserved for the
-//! exact model, where i64 addition is associative.
+//! Every arm is bit-identical for the models it handles, so the kernel
+//! **cannot change results** — only time. Order-sensitive accumulator
+//! models ([`Accumulator::Saturating`] / [`Accumulator::Wrapping`])
+//! always run the scalar walker, whose fold order is the specified one;
+//! SIMD reassociation is reserved for the exact model, where i64 addition
+//! is associative.
 
 use super::{lut_gemm_tiled_seg, TileConfig};
 use crate::accumulator::Accumulator;
@@ -29,7 +25,6 @@ use axmult::MulLut;
 use axquant::QuantParams;
 use axtensor::{Matrix, SegmentTable};
 use std::fmt;
-use std::sync::OnceLock;
 
 /// One arm of the LUT-GEMM kernel family.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -37,9 +32,6 @@ pub enum KernelKind {
     /// The portable tiled scalar walker (PR 4) — always available, and
     /// the only arm for order-sensitive accumulator models.
     ScalarTiled,
-    /// AVX2 `pshufb` nibble sub-table kernel: 32 byte-plane products per
-    /// shuffle, reassembled from the [`axmult::SimdTables`] lo/hi planes.
-    Avx2Nibble,
     /// AVX2 `vpgatherdd` row-gather kernel: 16 products per step fetched
     /// straight from the hoisted 512-byte LUT row — the CPU analogue of
     /// the paper's `tex1Dfetch<ushort>` texture path.
@@ -48,27 +40,12 @@ pub enum KernelKind {
 
 impl KernelKind {
     /// The kernel's stable name, as reported in
-    /// [`crate::EmulationReport`] / `ServeStats` and accepted by
-    /// [`KernelKind::from_name`] and `TFAPPROX_KERNEL`.
+    /// [`crate::EmulationReport`] / `ServeStats`.
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {
             KernelKind::ScalarTiled => "scalar-tiled",
-            KernelKind::Avx2Nibble => "avx2-nibble",
             KernelKind::Avx2Gather => "avx2-gather",
-        }
-    }
-
-    /// Parse a kernel name (the [`KernelKind::name`] form, plus short
-    /// aliases `scalar`, `nibble`, `gather`). Returns `None` for unknown
-    /// names — including `auto`, which callers treat as "calibrate".
-    #[must_use]
-    pub fn from_name(name: &str) -> Option<KernelKind> {
-        match name {
-            "scalar-tiled" | "scalar" => Some(KernelKind::ScalarTiled),
-            "avx2-nibble" | "nibble" => Some(KernelKind::Avx2Nibble),
-            "avx2-gather" | "gather" => Some(KernelKind::Avx2Gather),
-            _ => None,
         }
     }
 
@@ -78,7 +55,7 @@ impl KernelKind {
     pub fn is_supported(self) -> bool {
         match self {
             KernelKind::ScalarTiled => true,
-            KernelKind::Avx2Nibble | KernelKind::Avx2Gather => {
+            KernelKind::Avx2Gather => {
                 #[cfg(target_arch = "x86_64")]
                 {
                     std::arch::is_x86_feature_detected!("avx2")
@@ -101,90 +78,21 @@ impl fmt::Display for KernelKind {
 /// Every kernel arm this process can execute, scalar first.
 #[must_use]
 pub fn available_kernels() -> Vec<KernelKind> {
-    [
-        KernelKind::ScalarTiled,
-        KernelKind::Avx2Nibble,
-        KernelKind::Avx2Gather,
-    ]
-    .into_iter()
-    .filter(|k| k.is_supported())
-    .collect()
+    [KernelKind::ScalarTiled, KernelKind::Avx2Gather]
+        .into_iter()
+        .filter(|k| k.is_supported())
+        .collect()
 }
 
-/// The process-wide automatic kernel choice: `TFAPPROX_KERNEL` if it
-/// names a supported arm, else a one-shot calibration race (see the
-/// module docs). Resolved once and cached.
-///
-/// A `TFAPPROX_KERNEL` value that does *not* resolve keeps the
-/// documented fall-through-to-auto semantics, but is no longer silent: a
-/// one-time warning naming the valid kernels goes to stderr, so a typo
-/// like `TFAPPROX_KERNEL=sclar` cannot quietly lose the forced-scalar
-/// escape hatch.
+/// The automatic kernel choice: `avx2-gather` when the CPU has AVX2,
+/// otherwise `scalar-tiled`.
 #[must_use]
 pub fn auto_kernel() -> KernelKind {
-    static AUTO: OnceLock<KernelKind> = OnceLock::new();
-    *AUTO.get_or_init(|| {
-        if let Ok(v) = std::env::var("TFAPPROX_KERNEL") {
-            let (choice, warning) = env_kernel_choice(&v);
-            if let Some(msg) = warning {
-                eprintln!("{msg}");
-            }
-            if let Some(k) = choice {
-                return k;
-            }
-        }
-        calibrate()
-    })
-}
-
-/// Resolve one `TFAPPROX_KERNEL` value: the forced arm if the value
-/// names a supported kernel, otherwise `None` (fall through to
-/// calibration) plus the warning to print when the fall-through was not
-/// asked for. `auto` and an empty value are the documented spellings of
-/// "calibrate" and stay silent; an unknown name or an arm this host
-/// cannot run warns, naming every kernel the process accepts.
-fn env_kernel_choice(value: &str) -> (Option<KernelKind>, Option<String>) {
-    let v = value.trim();
-    if v.is_empty() || v == "auto" {
-        return (None, None);
-    }
-    let valid = || {
-        available_kernels()
-            .iter()
-            .map(|k| k.name())
-            .collect::<Vec<_>>()
-            .join(", ")
-    };
-    match KernelKind::from_name(v) {
-        Some(k) if k.is_supported() => (Some(k), None),
-        Some(k) => (
-            None,
-            Some(format!(
-                "tfapprox: TFAPPROX_KERNEL={v} names kernel '{}' which this host cannot \
-                 execute; falling through to automatic selection (valid here: {}, auto)",
-                k.name(),
-                valid()
-            )),
-        ),
-        None => (
-            None,
-            Some(format!(
-                "tfapprox: TFAPPROX_KERNEL={v} does not name a kernel; falling through to \
-                 automatic selection (valid: {}, auto)",
-                valid()
-            )),
-        ),
-    }
-}
-
-/// The calibration arm of [`auto_kernel`]: race the SIMD kernels where
-/// they exist, otherwise scalar.
-fn calibrate() -> KernelKind {
-    #[cfg(target_arch = "x86_64")]
     if KernelKind::Avx2Gather.is_supported() {
-        return super::simd::pick_simd_kernel();
+        KernelKind::Avx2Gather
+    } else {
+        KernelKind::ScalarTiled
     }
-    KernelKind::ScalarTiled
 }
 
 /// The arm that will actually run for a request: SIMD kernels handle only
@@ -259,8 +167,8 @@ pub fn lut_gemm_dispatch_seg(
 ) -> Vec<f32> {
     match effective(kernel, accumulator) {
         #[cfg(target_arch = "x86_64")]
-        k @ (KernelKind::Avx2Nibble | KernelKind::Avx2Gather) => {
-            super::simd::lut_gemm_simd_seg(k, patches, patch_sums, plan, seg_q, segments, lut, pool)
+        KernelKind::Avx2Gather => {
+            super::simd::lut_gemm_simd_seg(patches, patch_sums, plan, seg_q, segments, lut, pool)
         }
         _ => lut_gemm_tiled_seg(
             patches,
@@ -281,21 +189,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn names_round_trip() {
-        for k in [
-            KernelKind::ScalarTiled,
-            KernelKind::Avx2Nibble,
-            KernelKind::Avx2Gather,
-        ] {
-            assert_eq!(KernelKind::from_name(k.name()), Some(k));
+    fn names_are_stable() {
+        assert_eq!(KernelKind::ScalarTiled.name(), "scalar-tiled");
+        assert_eq!(KernelKind::Avx2Gather.name(), "avx2-gather");
+        for k in available_kernels() {
             assert_eq!(k.to_string(), k.name());
         }
-        assert_eq!(
-            KernelKind::from_name("scalar"),
-            Some(KernelKind::ScalarTiled)
-        );
-        assert_eq!(KernelKind::from_name("auto"), None);
-        assert_eq!(KernelKind::from_name("neon-tbl"), None);
     }
 
     #[test]
@@ -310,54 +209,30 @@ mod tests {
     fn auto_kernel_is_stable_and_supported() {
         let k = auto_kernel();
         assert!(k.is_supported());
-        assert_eq!(k, auto_kernel(), "cached choice must not flap");
-    }
-
-    #[test]
-    fn env_typos_warn_but_fall_through() {
-        // The documented "calibrate" spellings stay silent.
-        for quiet in ["auto", "", "  auto  "] {
-            assert_eq!(env_kernel_choice(quiet), (None, None), "{quiet:?}");
-        }
-        // A valid, supported name forces that arm with no warning.
-        assert_eq!(
-            env_kernel_choice("scalar-tiled"),
-            (Some(KernelKind::ScalarTiled), None)
-        );
-        assert_eq!(
-            env_kernel_choice(" scalar "),
-            (Some(KernelKind::ScalarTiled), None)
-        );
-        // A typo falls through to auto (documented semantics kept) but
-        // now carries a warning naming the valid kernels.
-        let (choice, warning) = env_kernel_choice("sclar");
-        assert_eq!(choice, None);
-        let msg = warning.expect("typo must warn");
-        assert!(msg.contains("sclar"), "{msg}");
-        assert!(msg.contains("scalar-tiled"), "{msg}");
-        assert!(msg.contains("auto"), "{msg}");
-        // An unsupported-but-real arm gets the distinct "cannot execute"
-        // message (constructible only on non-AVX2 hosts; both branches
-        // keep the fall-through contract).
-        if !KernelKind::Avx2Gather.is_supported() {
-            let (choice, warning) = env_kernel_choice("avx2-gather");
-            assert_eq!(choice, None);
-            assert!(warning.unwrap().contains("cannot execute"));
-        }
+        assert_eq!(k, auto_kernel(), "the choice must not flap");
+        #[cfg(target_arch = "x86_64")]
+        let avx2 = std::arch::is_x86_feature_detected!("avx2");
+        #[cfg(not(target_arch = "x86_64"))]
+        let avx2 = false;
+        let want = if avx2 {
+            KernelKind::Avx2Gather
+        } else {
+            KernelKind::ScalarTiled
+        };
+        assert_eq!(k, want, "auto is avx2-gather exactly when AVX2 is present");
     }
 
     #[test]
     fn order_sensitive_models_downgrade_to_scalar() {
-        for k in [KernelKind::Avx2Nibble, KernelKind::Avx2Gather] {
-            assert_eq!(
-                effective(k, Accumulator::Saturating(12)),
-                KernelKind::ScalarTiled
-            );
-            assert_eq!(
-                effective(k, Accumulator::Wrapping(10)),
-                KernelKind::ScalarTiled
-            );
-        }
+        let k = KernelKind::Avx2Gather;
+        assert_eq!(
+            effective(k, Accumulator::Saturating(12)),
+            KernelKind::ScalarTiled
+        );
+        assert_eq!(
+            effective(k, Accumulator::Wrapping(10)),
+            KernelKind::ScalarTiled
+        );
         assert_eq!(
             effective(KernelKind::ScalarTiled, Accumulator::Exact),
             KernelKind::ScalarTiled

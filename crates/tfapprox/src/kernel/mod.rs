@@ -1,4 +1,4 @@
-//! The LUT-GEMM kernel family — tiled scalar and SIMD arms behind one
+//! The LUT-GEMM kernel family — a tiled scalar and an AVX2 arm behind one
 //! dispatch, all pinned bit-for-bit to an untiled golden model.
 //!
 //! `BENCH_conv.json` shows the emulated-multiply inner loop (the
@@ -15,15 +15,14 @@
 //!   contiguous-row-span thread sharding whose per-row fold order is
 //!   partition-independent (bit-identical across thread counts, even
 //!   under order-sensitive [`Accumulator`] models).
-//! - `simd` (private, x86-64 only) — AVX2 panels that resolve 16–32
-//!   products per instruction from the [`axmult::SimdTables`] derived
-//!   layouts: a `vpgatherdd` row-gather arm and a `pshufb` nibble
-//!   sub-table arm. Exact accumulation only; the module's source
-//!   carries the bit-identity argument.
-//! - [`dispatch`] — the [`dispatch::KernelKind`] selector: explicit
-//!   override > `TFAPPROX_KERNEL` env > one-shot runtime calibration,
-//!   with every non-scalar arm silently falling back to the scalar
-//!   walker when the accumulator model or the CPU rules it out.
+//! - `simd` (private, x86-64 only) — the `avx2-gather` arm: a
+//!   `vpgatherdd` per 8 products from the hoisted 512-byte LUT row of
+//!   [`axmult::MulLut::padded_entries`]. Exact accumulation only; the
+//!   module's source carries the bit-identity argument.
+//! - [`dispatch`] — the [`dispatch::KernelKind`] selector: an explicit
+//!   override, otherwise `avx2-gather` when the CPU has AVX2, otherwise
+//!   `scalar-tiled`; the SIMD arm silently falls back to the scalar
+//!   walker when the accumulator model rules it out.
 //!
 //! Both entry-point flavours come *segmented*
 //! ([`lut_gemm_reference_seg`], [`lut_gemm_tiled_seg`],
@@ -44,7 +43,7 @@ pub use dispatch::{auto_kernel, available_kernels, KernelKind};
 use crate::accumulator::Accumulator;
 use crate::pool::WorkerPool;
 use crate::prepared::PreparedFilter;
-use crate::EmuError;
+use crate::Error;
 use axmult::{MulLut, Signedness};
 use axquant::QuantParams;
 use axtensor::{Matrix, SegmentTable};
@@ -74,11 +73,11 @@ impl TileConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`EmuError::Config`] if any dimension is zero — a
+    /// Returns [`Error::Config`] if any dimension is zero — a
     /// zero-sized panel would make the blocked loops process nothing.
-    pub fn new(mc: usize, kc: usize, nc: usize) -> Result<Self, EmuError> {
+    pub fn new(mc: usize, kc: usize, nc: usize) -> Result<Self, Error> {
         if mc == 0 || kc == 0 || nc == 0 {
-            return Err(EmuError::Config(format!(
+            return Err(Error::Config(format!(
                 "tile sizes must be positive (got mc={mc}, kc={kc}, nc={nc})"
             )));
         }
@@ -622,7 +621,7 @@ mod tests {
     fn zero_tile_dimensions_rejected() {
         for (mc, kc, nc) in [(0, 1, 1), (1, 0, 1), (1, 1, 0)] {
             let err = TileConfig::new(mc, kc, nc).unwrap_err();
-            assert!(matches!(err, EmuError::Config(_)), "{err}");
+            assert!(matches!(err, Error::Config(_)), "{err}");
             assert!(err.to_string().contains("tile sizes"), "{err}");
         }
     }

@@ -1,57 +1,45 @@
-//! AVX2 LUT-GEMM panels — the vector arms of the kernel family.
+//! The AVX2 LUT-GEMM arm, `avx2-gather`.
 //!
-//! Both arms consume the [`SimdTables`] layouts derived once per
-//! [`MulLut`] and resolve 16–32 products per instruction where the
-//! scalar walker resolves one per load:
+//! With the filter byte fixed, every product of a tap lives in one
+//! 512-byte LUT row — the same hoisting the scalar kernel exploits, and
+//! the CPU analogue of the paper's `tex1Dfetch<ushort>` reads from
+//! texture-cached table rows. [`gather_panel`] fetches 8 two-byte entries
+//! of that L1-resident row per `vpgatherdd`, keyed directly by the
+//! activation bytes, so it resolves 16 products per step where the
+//! scalar walker resolves one per load.
 //!
-//! - **`avx2-gather`** ([`gather_panel`]): with the filter byte fixed,
-//!   every product of a tap lives in one 512-byte LUT row — the same
-//!   hoisting the scalar kernel exploits, and the CPU analogue of the
-//!   paper's `tex1Dfetch<ushort>` reads from texture-cached table rows.
-//!   A `vpgatherdd` fetches 8 two-byte entries of that L1-resident row
-//!   per instruction, keyed directly by the activation bytes.
-//! - **`avx2-nibble`** ([`nibble_panel`]): the row is viewed as 16
-//!   sub-tables of 16 bytes per byte plane ([`SimdTables::lo_plane`] /
-//!   [`SimdTables::hi_plane`]); a `pshufb` per sub-table selects 32
-//!   lanes at once, with non-matching high nibbles saturated to a
-//!   poisoned index (bit 7 set ⇒ `pshufb` writes zero) and the 16
-//!   partial selections OR-merged.
-//!
-//! Both run over a **K-major packed panel** (`pbuf[k*mp + i]` = patch
+//! It runs over a **K-major packed panel** (`pbuf[k*mp + i]` = patch
 //! row `i`, tap `kb+k`) produced by [`pack_panel`], whose 16×16 SSE
 //! byte-transpose keeps packing ≈2% of kernel time.
 //!
 //! # Bit-identity
 //!
-//! These arms serve only [`Accumulator::Exact`] (the dispatch layer
+//! This arm serves only [`Accumulator::Exact`] (the dispatch layer
 //! guarantees it). Every 16-bit product is decoded exactly — sign- or
 //! zero-extended per table signedness — and summed in integers wide
-//! enough to never wrap: per ≤256-tap block the nibble arm's i16/u16
-//! register partials are exact (256·|min i16 product| = 32768 fits;
-//! 256·255 = 65 280 fits u16), per ≤4096-tap panel the i32 memory
-//! accumulator is exact (4096·65 535 < 2³¹), and the cross-panel i64
-//! accumulator is the model's own width. Exact integer addition is
-//! associative, so any blocking/vectorization order produces the same
-//! i64 as the golden per-row fold — hence the same dequantized f32 bits.
-//! Padded lanes (`mh..mp`) compute garbage that is never read, and the
-//! gather's 4-byte read at row offset 255 lands on [`SimdTables::padded`]'s
-//! trailing zero entry, never out of bounds.
+//! enough to never wrap: per ≤4096-tap panel the i32 memory accumulator
+//! is exact (4096·65 535 < 2³¹), and the cross-panel i64 accumulator is
+//! the model's own width. Exact integer addition is associative, so any
+//! blocking/vectorization order produces the same i64 as the golden
+//! per-row fold — hence the same dequantized f32 bits. Padded lanes
+//! (`mh..mp`) compute garbage that is never read, and the gather's 4-byte
+//! read at row offset 255 lands on the trailing zero entry of
+//! [`MulLut::padded_entries`], never out of bounds.
 
 use super::check_seg_operands;
-use super::dispatch::KernelKind;
 use crate::pool::WorkerPool;
 use crate::prepared::{PreparedFilter, SegmentEpilogue};
-use axmult::{MulLut, Signedness, SimdTables, LUT_ENTRIES};
+use axmult::{MulLut, Signedness};
 use axquant::QuantParams;
 use axtensor::{Matrix, SegmentTable};
 use std::arch::x86_64::*;
 
-/// The segmented LUT GEMM on an AVX2 arm, sharded over `pool` exactly
+/// The segmented LUT GEMM on the AVX2 arm, sharded over `pool` exactly
 /// like the scalar walker (contiguous row spans, partition-independent
 /// bits).
 ///
-/// Callers (the dispatch layer) must have verified
-/// `kernel.is_supported()`; the accumulator model is implicitly
+/// Callers (the dispatch layer) must have verified AVX2 support; the
+/// accumulator model is implicitly
 /// [`Accumulator::Exact`](crate::accumulator::Accumulator::Exact).
 ///
 /// # Panics
@@ -59,7 +47,6 @@ use std::arch::x86_64::*;
 /// As [`super::lut_gemm_tiled_seg`].
 #[allow(clippy::too_many_arguments)]
 pub(super) fn lut_gemm_simd_seg(
-    kernel: KernelKind,
     patches: &Matrix<u8>,
     patch_sums: &[i64],
     plan: &PreparedFilter,
@@ -79,8 +66,7 @@ pub(super) fn lut_gemm_simd_seg(
     let row_seg = segments.element_segments();
     let epi_ref = &epi;
     let row_seg_ref: &[u32] = &row_seg;
-    // Derive (or fetch) the SIMD layouts once, outside the parallel region.
-    let simd = lut.simd_tables();
+    let table: &[u16] = lut.padded_entries();
     let signedness = lut.signedness();
 
     let rows_per = rows.div_ceil(pool.threads()).max(1);
@@ -89,7 +75,6 @@ pub(super) fn lut_gemm_simd_seg(
         let r0 = t * rows_per;
         jobs.push(Box::new(move || {
             simd_span(
-                kernel,
                 r0,
                 span,
                 patches,
@@ -97,7 +82,7 @@ pub(super) fn lut_gemm_simd_seg(
                 plan,
                 row_seg_ref,
                 epi_ref,
-                simd,
+                table,
                 signedness,
             );
         }));
@@ -109,12 +94,11 @@ pub(super) fn lut_gemm_simd_seg(
 /// Run the blocked SIMD panels over output rows `r0 .. r0 + span/c_out`.
 ///
 /// Blocking: `mb_step` output rows at a time (acc64 tile ≈ 2 MB max),
-/// rounded-up working width `mp` a multiple of 32 so both arms sweep
+/// rounded-up working width `mp` a multiple of 32 so the gathers sweep
 /// whole vectors; the tap dimension in `kc ≤ 4096` panels so the packed
 /// panel stays ≈1 MB and the per-channel i32 accumulator cannot wrap.
 #[allow(clippy::too_many_arguments)]
 fn simd_span(
-    kernel: KernelKind,
     r0: usize,
     out_span: &mut [f32],
     patches: &Matrix<u8>,
@@ -122,7 +106,7 @@ fn simd_span(
     plan: &PreparedFilter,
     row_seg: &[u32],
     epi: &SegmentEpilogue,
-    simd: &SimdTables,
+    table: &[u16],
     signedness: Signedness,
 ) {
     let c_out = plan.c_out();
@@ -155,35 +139,15 @@ fn simd_span(
                 // SAFETY: AVX2 support is a precondition of this arm
                 // (checked by the dispatch layer); `pbuf` holds `kw*mp`
                 // packed bytes with `mp % 32 == 0`, `acc32` has `mp`
-                // lanes, and the tables come from `SimdTables` (gather
-                // row reads stay inside the padded table — module docs).
+                // lanes, and `table` is the gather-padded LUT (row reads
+                // stay in bounds — module docs).
                 unsafe {
-                    match (kernel, signedness) {
-                        (KernelKind::Avx2Gather, Signedness::Signed) => {
-                            gather_panel::<true>(&pbuf, fcol, simd.padded(), &mut acc32, mp);
+                    match signedness {
+                        Signedness::Signed => {
+                            gather_panel::<true>(&pbuf, fcol, table, &mut acc32, mp);
                         }
-                        (KernelKind::Avx2Gather, Signedness::Unsigned) => {
-                            gather_panel::<false>(&pbuf, fcol, simd.padded(), &mut acc32, mp);
-                        }
-                        (_, Signedness::Signed) => {
-                            nibble_panel::<true>(
-                                &pbuf,
-                                fcol,
-                                simd.lo_plane(),
-                                simd.hi_plane(),
-                                &mut acc32,
-                                mp,
-                            );
-                        }
-                        (_, Signedness::Unsigned) => {
-                            nibble_panel::<false>(
-                                &pbuf,
-                                fcol,
-                                simd.lo_plane(),
-                                simd.hi_plane(),
-                                &mut acc32,
-                                mp,
-                            );
+                        Signedness::Unsigned => {
+                            gather_panel::<false>(&pbuf, fcol, table, &mut acc32, mp);
                         }
                     }
                 }
@@ -310,9 +274,9 @@ unsafe fn transpose16(patches: &Matrix<u8>, row0: usize, col0: usize, dst: *mut 
 /// # Safety
 ///
 /// Requires AVX2. `pbuf` must hold `fcol.len()*mp` bytes, `mp % 16 == 0`,
-/// `acc32.len() >= mp`, and `padded` must be a [`SimdTables::padded`]
-/// table (`LUT_ENTRIES+1` entries) so the dword read at row offset 255
-/// stays in bounds.
+/// `acc32.len() >= mp`, and `padded` must be a
+/// [`MulLut::padded_entries`] table (`LUT_ENTRIES+1` entries) so the
+/// dword read at row offset 255 stays in bounds.
 #[target_feature(enable = "avx2")]
 unsafe fn gather_panel<const SIGNED: bool>(
     pbuf: &[u8],
@@ -354,165 +318,6 @@ unsafe fn gather_panel<const SIGNED: bool>(
             );
             mb += 16;
         }
-    }
-}
-
-/// The `pshufb` arm: per tap, sweep the 16 sub-tables of the active row
-/// in both byte planes, selecting 32 lanes per shuffle. Lane selection:
-/// XOR the activation byte with `h << 4` and saturating-add `0x70` — a
-/// matching high nibble yields an index `< 0x80` (its low nibble), any
-/// other saturates with bit 7 set, which `pshufb` maps to zero; the 16
-/// partial selections OR together. Byte partials accumulate in 16-bit
-/// registers per ≤256-tap block (exact — see module docs) and flush to
-/// `acc32`.
-///
-/// # Safety
-///
-/// Requires AVX2. `pbuf` must hold `fcol.len()*mp` bytes with
-/// `mp % 32 == 0`, and `acc32.len() >= mp`.
-#[target_feature(enable = "avx2")]
-unsafe fn nibble_panel<const SIGNED: bool>(
-    pbuf: &[u8],
-    fcol: &[u8],
-    lo: &[u8; LUT_ENTRIES],
-    hi: &[u8; LUT_ENTRIES],
-    acc32: &mut [i32],
-    mp: usize,
-) {
-    let kw = fcol.len();
-    let seventy = _mm256_set1_epi8(0x70u8 as i8);
-    let zero = _mm256_setzero_si256();
-    for kb in (0..kw).step_by(256) {
-        let kh = 256.min(kw - kb);
-        let mut mb = 0;
-        while mb < mp {
-            let mut alo0 = zero; // u16 partials, unpack lane order
-            let mut alo1 = zero;
-            let mut ahi0 = zero; // i16 (signed) / u16 (unsigned) partials
-            let mut ahi1 = zero;
-            for k in kb..kb + kh {
-                let fb = *fcol.get_unchecked(k) as usize;
-                let idx = _mm256_loadu_si256(pbuf.as_ptr().add(k * mp + mb) as *const __m256i);
-                let lrow = lo.as_ptr().add(fb << 8);
-                let hrow = hi.as_ptr().add(fb << 8);
-                let mut plo = zero;
-                let mut phi = zero;
-                for h in 0..16 {
-                    let tl = _mm256_broadcastsi128_si256(_mm_loadu_si128(
-                        lrow.add(h * 16) as *const __m128i
-                    ));
-                    let th = _mm256_broadcastsi128_si256(_mm_loadu_si128(
-                        hrow.add(h * 16) as *const __m128i
-                    ));
-                    let x = _mm256_xor_si256(idx, _mm256_set1_epi8((h << 4) as u8 as i8));
-                    let sel = _mm256_adds_epu8(x, seventy);
-                    plo = _mm256_or_si256(plo, _mm256_shuffle_epi8(tl, sel));
-                    phi = _mm256_or_si256(phi, _mm256_shuffle_epi8(th, sel));
-                }
-                alo0 = _mm256_add_epi16(alo0, _mm256_unpacklo_epi8(plo, zero));
-                alo1 = _mm256_add_epi16(alo1, _mm256_unpackhi_epi8(plo, zero));
-                let sign = if SIGNED {
-                    _mm256_cmpgt_epi8(zero, phi)
-                } else {
-                    zero
-                };
-                ahi0 = _mm256_add_epi16(ahi0, _mm256_unpacklo_epi8(phi, sign));
-                ahi1 = _mm256_add_epi16(ahi1, _mm256_unpackhi_epi8(phi, sign));
-            }
-            flush::<SIGNED>(acc32.as_mut_ptr().add(mb), alo0, alo1, ahi0, ahi1);
-            mb += 32;
-        }
-    }
-}
-
-/// Flush one 32-lane block of 16-bit partials into the i32 accumulators:
-/// `acc[m] += lo_sum + (hi_sum << 8)`, undoing the `punpck` interleave
-/// (`alo0` holds bytes `[0..8, 16..24]` of the block, `alo1` the rest).
-///
-/// # Safety
-///
-/// Requires AVX2; `acc` must point at 32 writable `i32`s.
-#[target_feature(enable = "avx2")]
-unsafe fn flush<const SIGNED: bool>(
-    acc: *mut i32,
-    alo0: __m256i,
-    alo1: __m256i,
-    ahi0: __m256i,
-    ahi1: __m256i,
-) {
-    let mut lo = [0u16; 32];
-    let mut hi = [0u16; 32];
-    _mm256_storeu_si256(lo.as_mut_ptr() as *mut __m256i, alo0);
-    _mm256_storeu_si256(lo.as_mut_ptr().add(16) as *mut __m256i, alo1);
-    _mm256_storeu_si256(hi.as_mut_ptr() as *mut __m256i, ahi0);
-    _mm256_storeu_si256(hi.as_mut_ptr().add(16) as *mut __m256i, ahi1);
-    const MAP: [usize; 32] = [
-        0, 1, 2, 3, 4, 5, 6, 7, 16, 17, 18, 19, 20, 21, 22, 23, 8, 9, 10, 11, 12, 13, 14, 15, 24,
-        25, 26, 27, 28, 29, 30, 31,
-    ];
-    for (slot, &m) in MAP.iter().enumerate() {
-        let h = if SIGNED {
-            i32::from(hi[slot] as i16)
-        } else {
-            i32::from(hi[slot])
-        };
-        *acc.add(m) += i32::from(lo[slot]) + (h << 8);
-    }
-}
-
-/// Calibrate the automatic choice between the two AVX2 arms: race them
-/// on a synthetic packed panel and keep the winner. Both arms are exact,
-/// so the (machine-dependent) outcome can never change results — gather
-/// tends to win on cores with fast `vpgatherdd` (Intel), nibble on
-/// cores where shuffle throughput dominates (AMD).
-///
-/// Only called once per process, from behind `auto_kernel`'s cache.
-pub(super) fn pick_simd_kernel() -> KernelKind {
-    const MP: usize = 1024;
-    const KW: usize = 256;
-    let lut = MulLut::exact(Signedness::Signed);
-    let simd = lut.simd_tables();
-    let pbuf: Vec<u8> = (0..KW * MP)
-        .map(|i| (i.wrapping_mul(2_654_435_761)) as u8)
-        .collect();
-    let fcol: Vec<u8> = (0..KW).map(|i| (i * 97 + 13) as u8).collect();
-    let mut acc32 = vec![0i32; MP];
-
-    // SAFETY: AVX2 verified by the caller (`calibrate`); buffer shapes
-    // satisfy the panel contracts (MP % 32 == 0, pbuf = KW*MP bytes).
-    let t_gather = {
-        let mut best = std::time::Duration::MAX;
-        for _ in 0..4 {
-            let t = std::time::Instant::now();
-            unsafe { gather_panel::<true>(&pbuf, &fcol, simd.padded(), &mut acc32, MP) };
-            best = best.min(t.elapsed());
-            std::hint::black_box(&acc32);
-        }
-        best
-    };
-    let t_nibble = {
-        let mut best = std::time::Duration::MAX;
-        for _ in 0..4 {
-            let t = std::time::Instant::now();
-            unsafe {
-                nibble_panel::<true>(
-                    &pbuf,
-                    &fcol,
-                    simd.lo_plane(),
-                    simd.hi_plane(),
-                    &mut acc32,
-                    MP,
-                )
-            };
-            best = best.min(t.elapsed());
-            std::hint::black_box(&acc32);
-        }
-        best
-    };
-    if t_nibble < t_gather {
-        KernelKind::Avx2Nibble
-    } else {
-        KernelKind::Avx2Gather
     }
 }
 
@@ -569,24 +374,11 @@ mod tests {
                 &lut,
                 Accumulator::Exact,
             );
-            for kernel in [KernelKind::Avx2Gather, KernelKind::Avx2Nibble] {
-                for threads in [1, 3] {
-                    let pool = WorkerPool::new(threads);
-                    let got = lut_gemm_simd_seg(
-                        kernel, &patches, &sums, &plan, &seg_q, &segments, &lut, &pool,
-                    );
-                    assert_eq!(got, reference, "{kernel:?} {signedness:?} x{threads}");
-                }
+            for threads in [1, 3] {
+                let pool = WorkerPool::new(threads);
+                let got = lut_gemm_simd_seg(&patches, &sums, &plan, &seg_q, &segments, &lut, &pool);
+                assert_eq!(got, reference, "{signedness:?} x{threads}");
             }
         }
-    }
-
-    #[test]
-    fn pick_simd_kernel_returns_an_avx2_arm() {
-        if !avx2() {
-            return;
-        }
-        let k = pick_simd_kernel();
-        assert!(matches!(k, KernelKind::Avx2Gather | KernelKind::Avx2Nibble));
     }
 }

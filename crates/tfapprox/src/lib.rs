@@ -105,7 +105,7 @@ pub use accumulator::Accumulator;
 pub use assignment::Assignment;
 pub use axconv2d::AxConv2D;
 pub use context::{Backend, EmuContext};
-pub use error::{EmuError, Error};
+pub use error::Error;
 pub use kernel::{auto_kernel, available_kernels, KernelKind, TileConfig};
 pub use pool::WorkerPool;
 pub use prepared::PreparedFilter;

@@ -21,7 +21,7 @@
 //! crippling on CPU but mild on GPU.
 
 use crate::runtime::{self, EmulationReport};
-use crate::{Accumulator, AxConv2D, Backend, EmuContext, EmuError};
+use crate::{Accumulator, AxConv2D, Backend, EmuContext, Error};
 use axmult::AxMultiplier;
 use axnn::dataset::SyntheticCifar10;
 use axnn::resnet::{cifar_input_shape, ResNetConfig};
@@ -183,11 +183,7 @@ pub fn cpu_fig2_profile(model: &CpuModel, total_macs: u64) -> PhaseProfile {
 /// The Fig. 1 transform: every `Conv2D` becomes an [`AxConv2D`] emulating
 /// `mult` on `ctx`. Plans stay lazy, so the first forward charges each
 /// layer's plan build to the modeled Quantization phase.
-fn approximate(
-    graph: &Graph,
-    mult: &AxMultiplier,
-    ctx: &Arc<EmuContext>,
-) -> Result<Graph, EmuError> {
+fn approximate(graph: &Graph, mult: &AxMultiplier, ctx: &Arc<EmuContext>) -> Result<Graph, Error> {
     let (ax, _) =
         graph.rewrite_convs(|conv| Arc::new(AxConv2D::from_conv2d(conv, mult, Arc::clone(ctx))))?;
     Ok(ax)
@@ -206,7 +202,7 @@ pub fn gpu_approx_times(
     images: usize,
     sample_images: usize,
     seed: u64,
-) -> Result<(ConfigTimes, PhaseProfile), EmuError> {
+) -> Result<(ConfigTimes, PhaseProfile), Error> {
     let graph = cfg.build(seed)?;
     let ctx = Arc::new(
         EmuContext::with_device(Backend::GpuSim, dev.clone())
@@ -251,7 +247,7 @@ pub fn table1_row(
     images: usize,
     sample_images: usize,
     seed: u64,
-) -> Result<Table1Row, EmuError> {
+) -> Result<Table1Row, Error> {
     let cfg = ResNetConfig::with_depth(depth)?;
     let macs_per_image = cfg.build(seed)?.mac_count(cifar_input_shape(1))?;
     let total_macs = macs_per_image * images as u64;
@@ -312,7 +308,7 @@ pub fn measured_row(
     images: usize,
     sample_images: usize,
     seed: u64,
-) -> Result<MeasuredRow, EmuError> {
+) -> Result<MeasuredRow, Error> {
     let cfg = ResNetConfig::with_depth(depth)?;
     let graph = cfg.build(seed)?;
     let macs_per_image = graph.mac_count(cifar_input_shape(1))?;
@@ -322,7 +318,7 @@ pub fn measured_row(
 
     let (_, acc) = runtime::run_accurate_cpu(&graph, std::slice::from_ref(&batch))?;
 
-    let run_backend = |backend: Backend| -> Result<EmulationReport, EmuError> {
+    let run_backend = |backend: Backend| -> Result<EmulationReport, Error> {
         let ctx = Arc::new(EmuContext::new(backend).with_chunk_size(sample_images)?);
         let ax = approximate(&graph, mult, &ctx)?;
         let (_, report) =

@@ -7,7 +7,7 @@
 //! produces that decomposition.
 
 use crate::kernel::dispatch;
-use crate::{Accumulator, Backend, EmuContext, EmuError};
+use crate::{Accumulator, Backend, EmuContext, Error};
 use axnn::Graph;
 use axtensor::Tensor;
 use gpusim::{Phase, PhaseProfile};
@@ -180,7 +180,7 @@ pub fn run_approx(
     batches: &[Tensor<f32>],
     ctx: &EmuContext,
     accumulator: Accumulator,
-) -> Result<(Vec<Tensor<f32>>, EmulationReport), EmuError> {
+) -> Result<(Vec<Tensor<f32>>, EmulationReport), Error> {
     ctx.reset_profile();
     let mut outputs = Vec::with_capacity(batches.len());
     let mut images = 0usize;
@@ -245,7 +245,7 @@ pub fn run_approx(
 pub fn run_accurate_cpu(
     graph: &Graph,
     batches: &[Tensor<f32>],
-) -> Result<(Vec<Tensor<f32>>, EmulationReport), EmuError> {
+) -> Result<(Vec<Tensor<f32>>, EmulationReport), Error> {
     let mut outputs = Vec::with_capacity(batches.len());
     let mut images = 0usize;
     let wall = Instant::now();

@@ -113,7 +113,7 @@ impl SessionBuilder {
     }
 
     /// Force a specific LUT-GEMM kernel arm for the host GEMM backend
-    /// instead of the process-wide automatic choice
+    /// instead of the CPU's automatic choice
     /// ([`crate::kernel::auto_kernel`]). [`KernelKind::ScalarTiled`] is
     /// the always-available forced-scalar escape hatch; every arm is
     /// bit-identical, so this knob can only change speed, never results.
@@ -386,12 +386,7 @@ impl Session {
         &self,
         batches: &[Tensor<f32>],
     ) -> Result<(Vec<Tensor<f32>>, EmulationReport), Error> {
-        Ok(runtime::run_approx(
-            &self.graph,
-            batches,
-            &self.ctx,
-            self.accumulator,
-        )?)
+        runtime::run_approx(&self.graph, batches, &self.ctx, self.accumulator)
     }
 
     /// Recompile with a new multiplier [`Assignment`], **reusing the

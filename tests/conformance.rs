@@ -5,7 +5,8 @@
 //! a single golden model — `tfapprox::kernel::lut_gemm_reference` chained
 //! layer-by-layer over a fixed small graph. Each cell asserts **bit
 //! identity**; a failure names the exact (backend, multiplier,
-//! accumulator) cell.
+//! accumulator) cell. `CpuGemm` cells run once per LUT-GEMM kernel arm
+//! this host can execute, each pinned through `SessionBuilder::kernel`.
 //!
 //! Two contracts are encoded:
 //!
@@ -25,9 +26,49 @@ use axtensor::{ops, rng, ConvGeometry, Filter, FilterShape, Shape4, Tensor};
 use gpusim::kernels::im2col::{im2col_quant, PatchSumStrategy};
 use std::sync::Arc;
 use tfapprox::kernel::lut_gemm_reference;
-use tfapprox::{Accumulator, Backend, PreparedFilter, Session};
+use tfapprox::{
+    available_kernels, Accumulator, Backend, KernelKind, PreparedFilter, Session, SessionBuilder,
+};
 
 const BACKENDS: [Backend; 3] = [Backend::CpuDirect, Backend::CpuGemm, Backend::GpuSim];
+
+/// One execution path of the matrix: a backend, plus for `CpuGemm` the
+/// kernel arm it is pinned to.
+#[derive(Debug, Clone, Copy)]
+struct Path {
+    backend: Backend,
+    kernel: Option<KernelKind>,
+}
+
+impl Path {
+    fn builder(self) -> SessionBuilder {
+        let builder = Session::builder().backend(self.backend);
+        match self.kernel {
+            Some(kernel) => builder.kernel(kernel),
+            None => builder,
+        }
+    }
+}
+
+/// Every backend, with `CpuGemm` once per available kernel arm, so the
+/// scalar arm stays checked where the automatic choice is a SIMD arm.
+fn paths() -> Vec<Path> {
+    let mut paths = Vec::new();
+    for backend in BACKENDS {
+        if backend == Backend::CpuGemm {
+            paths.extend(available_kernels().into_iter().map(|k| Path {
+                backend,
+                kernel: Some(k),
+            }));
+        } else {
+            paths.push(Path {
+                backend,
+                kernel: None,
+            });
+        }
+    }
+    paths
+}
 
 /// The accumulator models of the matrix: the exact reference, a
 /// saturating width narrow enough that single products clip, and a
@@ -138,6 +179,7 @@ fn conformance_matrix_every_backend_multiplier_accumulator() {
     );
     let w = workload();
     let graph = graph_of(&w);
+    let paths = paths();
     let mut cells = 0usize;
     for mult in &catalog {
         // GpuSim's golden is accumulator-independent (it always f32
@@ -151,30 +193,30 @@ fn conformance_matrix_every_backend_multiplier_accumulator() {
                 golden_forward(&w, mult, accumulator)
             };
             let golden_gpu = &golden_exact;
-            for &backend in &BACKENDS {
-                let session = Session::builder()
-                    .backend(backend)
+            for &path in &paths {
+                let session = path
+                    .builder()
                     .chunk_size(64)
                     .multiplier(mult)
                     .accumulator(accumulator)
                     .compile(&graph)
                     .unwrap_or_else(|e| {
                         panic!(
-                            "conformance cell failed to compile: backend={backend:?} \
+                            "conformance cell failed to compile: {path:?} \
                              multiplier={} accumulator={accumulator:?}: {e}",
                             mult.name()
                         )
                     });
                 let out = session.infer(&w.input).unwrap_or_else(|e| {
                     panic!(
-                        "conformance cell failed to run: backend={backend:?} \
+                        "conformance cell failed to run: {path:?} \
                          multiplier={} accumulator={accumulator:?}: {e}",
                         mult.name()
                     )
                 });
                 // GpuSim accumulates in f32 like the paper's kernel: its
                 // golden is always the exact-accumulator reference.
-                let expect = if backend == Backend::GpuSim {
+                let expect = if path.backend == Backend::GpuSim {
                     golden_gpu
                 } else {
                     &golden_cpu
@@ -182,7 +224,7 @@ fn conformance_matrix_every_backend_multiplier_accumulator() {
                 assert_eq!(
                     &out,
                     expect,
-                    "conformance cell mismatch: backend={backend:?} multiplier={} \
+                    "conformance cell mismatch: {path:?} multiplier={} \
                      accumulator={accumulator:?} (max |diff| = {})",
                     mult.name(),
                     out.max_abs_diff(expect).unwrap_or(f32::NAN)
@@ -193,7 +235,7 @@ fn conformance_matrix_every_backend_multiplier_accumulator() {
     }
     assert_eq!(
         cells,
-        catalog.len() * ACCUMULATORS.len() * BACKENDS.len(),
+        catalog.len() * ACCUMULATORS.len() * paths.len(),
         "every cell of the matrix must have been asserted"
     );
 }
@@ -212,13 +254,14 @@ fn conformance_fused_batches_match_solo_and_reference() {
     let compositions: [&[usize]; 2] = [&[2, 0, 1, 3], &[1, 1]];
     let w = workload();
     let graph = graph_of(&w);
+    let paths = paths();
     let mut cells = 0usize;
     for name in mult_names {
         let mult = axmult::catalog::by_name(name).unwrap();
         for &accumulator in &ACCUMULATORS {
-            for &backend in &BACKENDS {
-                let session = Session::builder()
-                    .backend(backend)
+            for &path in &paths {
+                let session = path
+                    .builder()
                     .chunk_size(3)
                     .multiplier(&mult)
                     .accumulator(accumulator)
@@ -226,7 +269,7 @@ fn conformance_fused_batches_match_solo_and_reference() {
                     .unwrap();
                 // GpuSim f32-accumulates exactly; its golden ignores the
                 // accumulator knob (same contract as the solo matrix).
-                let golden_acc = if backend == Backend::GpuSim {
+                let golden_acc = if path.backend == Backend::GpuSim {
                     Accumulator::Exact
                 } else {
                     accumulator
@@ -243,7 +286,7 @@ fn conformance_fused_batches_match_solo_and_reference() {
                     assert_eq!(fused.len(), requests.len());
                     for (i, (req, out)) in requests.iter().zip(&fused).enumerate() {
                         let cell = format!(
-                            "backend={backend:?} multiplier={name} \
+                            "{path:?} multiplier={name} \
                              accumulator={accumulator:?} composition={sizes:?} request {i}"
                         );
                         let solo = session.infer(req).unwrap();
@@ -265,7 +308,7 @@ fn conformance_fused_batches_match_solo_and_reference() {
     let per_session: usize = compositions.iter().map(|c| c.len()).sum();
     assert_eq!(
         cells,
-        mult_names.len() * ACCUMULATORS.len() * BACKENDS.len() * per_session,
+        mult_names.len() * ACCUMULATORS.len() * paths.len() * per_session,
         "every fused cell must have been asserted"
     );
 }
@@ -372,13 +415,14 @@ fn conformance_compiled_multiplier_column() {
         .map(|(i, &n)| rng::uniform(Shape4::new(n, 5, 5, 2), 200 + i as u64, -1.0, 1.0))
         .collect();
 
+    let paths = paths();
     let mut cells = 0usize;
     for &accumulator in &ACCUMULATORS {
-        for &backend in &BACKENDS {
-            let cell = format!("backend={backend:?} accumulator={accumulator:?}");
+        for &path in &paths {
+            let cell = format!("{path:?} accumulator={accumulator:?}");
             // GpuSim f32-accumulates exactly (same contract as the
             // catalog matrix): its golden ignores the accumulator knob.
-            let golden_acc = if backend == Backend::GpuSim {
+            let golden_acc = if path.backend == Backend::GpuSim {
                 Accumulator::Exact
             } else {
                 accumulator
@@ -387,8 +431,8 @@ fn conformance_compiled_multiplier_column() {
 
             // Solo: the session resolves the multiplier by its
             // registered name, never by value.
-            let session = Session::builder()
-                .backend(backend)
+            let session = path
+                .builder()
                 .chunk_size(3)
                 .multiplier_named("conf_test_trunc3")
                 .accumulator(accumulator)
@@ -426,7 +470,7 @@ fn conformance_compiled_multiplier_column() {
     }
     assert_eq!(
         cells,
-        ACCUMULATORS.len() * BACKENDS.len(),
+        ACCUMULATORS.len() * paths.len(),
         "every compiled-multiplier cell must have been asserted"
     );
     axmult::registry::unregister("conf_test_trunc3");

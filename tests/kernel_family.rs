@@ -171,13 +171,4 @@ proptest! {
 fn forced_scalar_is_always_available() {
     assert!(KernelKind::ScalarTiled.is_supported());
     assert!(available_kernels().contains(&KernelKind::ScalarTiled));
-    // Name round-trip, so `TFAPPROX_KERNEL=scalar` always parses.
-    assert_eq!(
-        KernelKind::from_name("scalar"),
-        Some(KernelKind::ScalarTiled)
-    );
-    assert_eq!(
-        KernelKind::from_name(KernelKind::ScalarTiled.name()),
-        Some(KernelKind::ScalarTiled)
-    );
 }
