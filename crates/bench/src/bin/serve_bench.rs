@@ -1,10 +1,9 @@
 //! `serve_bench` — the serving-throughput sweep behind `BENCH_serve.json`.
 //!
-//! Sweeps offered load (client threads) × batch budget — each point
-//! with fused batch execution on AND off, the A/B pair behind the
-//! fusion payoff — against one `ServeEngine`, plus tenants × offered
-//! load against a multi-tenant registry-backed engine, next to a serial
-//! `Session::infer` baseline, and writes the `tfapprox-bench-serve/3`
+//! Sweeps offered load (client threads) × batch budget against one
+//! `ServeEngine`, plus tenants × offered load against a multi-tenant
+//! registry-backed engine, next to a serial `Session::infer` baseline,
+//! and writes the `tfapprox-bench-serve/4`
 //! report (with p50/p95/p99 latency per sweep point). Pass `--quick`
 //! (or set `BENCH_SERVE_QUICK=1`) for the CI smoke sweep;
 //! `BENCH_SERVE_OUT` overrides the output path.
@@ -21,24 +20,15 @@ fn main() {
         report.serial.requests, report.serial.images_per_second
     );
     println!(
-        "{:>7} {:>6} {:>6} {:>6} {:>9} {:>10} {:>11} {:>8} {:>6}",
-        "clients",
-        "budget",
-        "shards",
-        "fused",
-        "occupancy",
-        "images/s",
-        "vs-budget1",
-        "batches",
-        "nfused"
+        "{:>7} {:>6} {:>6} {:>9} {:>10} {:>11} {:>8} {:>6}",
+        "clients", "budget", "shards", "occupancy", "images/s", "vs-budget1", "batches", "nfused"
     );
     for s in &report.samples {
         println!(
-            "{:>7} {:>6} {:>6} {:>6} {:>9.2} {:>10.1} {:>10.2}x {:>8} {:>6}",
+            "{:>7} {:>6} {:>6} {:>9.2} {:>10.1} {:>10.2}x {:>8} {:>6}",
             s.clients,
             s.max_batch_images,
             s.shards,
-            s.fused,
             s.mean_occupancy,
             s.images_per_second,
             serve_bench::speedup_vs_single_request(&report, s),

@@ -11,12 +11,13 @@
 //!
 //! [`conv_engine`] holds the prepared-execution benchmark suite driven by
 //! `benches/conv_engine.rs`, which emits the `BENCH_conv.json` trajectory
-//! file through the [`json`] writer. [`pareto`] holds the
+//! file through the [`json`] writer (re-exported from
+//! [`tfapprox::json`]). [`pareto`] holds the
 //! accuracy-vs-power evaluation sweep behind `pareto_bench` and
 //! `BENCH_pareto.json`.
 
 pub mod conv_engine;
-pub mod json;
+pub use tfapprox::json;
 pub mod pareto;
 pub mod serve_bench;
 

@@ -10,21 +10,18 @@
 //! - *batch budget*: [`ServeConfig::with_max_batch_images`] — budget 1 is
 //!   the single-request serving point the batched points are compared to.
 //!
-//! Every (clients, budget) point runs **twice** — once with fused batch
-//! execution ([`ServeConfig::fuse_batches`], one segment-aware graph
-//! pass per micro-batch) and once with it off (one pass per request) —
-//! so the report carries honest A/B pairs for the fusion payoff. Every
-//! case records end-to-end wall-clock throughput (first submission to
-//! last response), the engine's own occupancy/batch/fused-batch
-//! counters, the p50/p95/p99 submit-to-response latency from the
-//! engine's streaming histogram, and the speedup against the budget-1
-//! case at the same offered load *and the same fusion mode*. A second
+//! The engine runs every micro-batch as one segment-aware fused graph
+//! pass. Every (clients, budget) case records end-to-end wall-clock
+//! throughput (first submission to last response), the engine's own
+//! occupancy/batch/fused-batch counters, the p50/p95/p99
+//! submit-to-response latency from the engine's streaming histogram, and
+//! the speedup against the budget-1 case at the same offered load. A second
 //! sweep — **tenants × offered load** — drives a multi-tenant engine
 //! over a [`SessionRegistry`] (one multiplier variant per tenant,
 //! admitted through the `reassign` plan-transplant path) and records the
 //! same latency tail per point, plus the registry's hit/miss/eviction
 //! counters. The `serve_bench` binary drives [`run_suite`] and writes
-//! the `tfapprox-bench-serve/3` report with [`write_report`]; the
+//! the `tfapprox-bench-serve/4` report with [`write_report`]; the
 //! bench-smoke integration test validates the emitted JSON. Pass
 //! `--quick` (or set `BENCH_SERVE_QUICK=1`) for a smaller sweep,
 //! `BENCH_SERVE_OUT` to override the output path (default:
@@ -76,10 +73,6 @@ pub struct ServeSample {
     pub max_batch_images: usize,
     /// Flush window in queue-poll ticks.
     pub flush_ticks: usize,
-    /// Whether fused batch execution was enabled for this case
-    /// ([`ServeConfig::fuse_batches`]). Each (clients, budget) point
-    /// appears once with `true` and once with `false` — the A/B pair.
-    pub fused: bool,
     /// Requests completed (all of them — the queue is sized to shed
     /// nothing).
     pub requests: u64,
@@ -87,8 +80,8 @@ pub struct ServeSample {
     pub images: u64,
     /// Micro-batches the engine formed.
     pub batches: u64,
-    /// Micro-batches that executed as one fused graph pass (always 0
-    /// when `fused` is off or the budget forces single-request batches).
+    /// Micro-batches that coalesced more than one request (always 0 when
+    /// the budget forces single-request batches).
     pub fused_batches: u64,
     /// Mean requests per micro-batch.
     pub mean_occupancy: f64,
@@ -120,16 +113,13 @@ pub struct TenantSample {
     pub shards: usize,
     /// Micro-batch image budget.
     pub max_batch_images: usize,
-    /// Whether fused batch execution was enabled (the tenant sweep runs
-    /// with the default: on).
-    pub fused: bool,
     /// Requests completed.
     pub requests: u64,
     /// Images served.
     pub images: u64,
     /// Micro-batches the engine formed (never mixing tenants).
     pub batches: u64,
-    /// Micro-batches that executed as one fused graph pass.
+    /// Micro-batches that coalesced more than one request.
     pub fused_batches: u64,
     /// Mean requests per micro-batch.
     pub mean_occupancy: f64,
@@ -257,23 +247,19 @@ fn serial_baseline(session: &Session, requests: usize) -> SerialBaseline {
 }
 
 /// One engine measurement: `clients` threads each burst
-/// `requests_per_client` submissions, then wait every ticket. `fuse`
-/// selects fused (one graph pass per micro-batch) or per-request batch
-/// execution — the two sides of the report's A/B pairs.
+/// `requests_per_client` submissions, then wait every ticket.
 fn run_case(
     session: &Arc<Session>,
     clients: usize,
     budget: usize,
     shards: usize,
     requests_per_client: usize,
-    fuse: bool,
 ) -> ServeSample {
     let config = ServeConfig::new()
         .with_max_batch_images(budget)
         .with_flush_ticks(2)
         .with_shards(shards)
-        .with_queue_depth(clients * requests_per_client + 1)
-        .with_fuse_batches(fuse);
+        .with_queue_depth(clients * requests_per_client + 1);
     let engine = ServeEngine::new(Arc::clone(session), config).expect("engine");
     let t0 = Instant::now();
     std::thread::scope(|scope| {
@@ -299,7 +285,6 @@ fn run_case(
         shards,
         max_batch_images: budget,
         flush_ticks: config.flush_ticks(),
-        fused: fuse,
         requests: stats.requests,
         images: stats.images,
         batches: stats.batches,
@@ -380,7 +365,6 @@ fn run_tenant_case(
         clients,
         shards,
         max_batch_images: budget,
-        fused: config.fuse_batches(),
         requests: stats.requests,
         images: stats.images,
         batches: stats.batches,
@@ -412,19 +396,13 @@ pub fn run_suite(quick: bool) -> SuiteReport {
     let mut samples = Vec::new();
     for &clients in &CLIENT_SWEEP {
         for &budget in &BUDGET_SWEEP {
-            // A/B pair: fused batch execution on and off at the same
-            // sweep point, so the fusion payoff is measured against an
-            // honest unfused baseline.
-            for fuse in [true, false] {
-                samples.push(run_case(
-                    &session,
-                    clients,
-                    budget,
-                    shards,
-                    requests_per_client,
-                    fuse,
-                ));
-            }
+            samples.push(run_case(
+                &session,
+                clients,
+                budget,
+                shards,
+                requests_per_client,
+            ));
         }
     }
     let mut tenant_samples = Vec::new();
@@ -448,16 +426,15 @@ pub fn run_suite(quick: bool) -> SuiteReport {
 }
 
 /// Speedup of `sample` against the budget-1 point at the same offered
-/// load **and the same fusion mode** (1.0 when that point is the sample
-/// itself). Comparing within a fusion mode keeps the baseline honest:
-/// the fused column's speedup is coalescing + fusion over single-request
-/// serving, the unfused column's is coalescing alone.
+/// load (1.0 when that point is the sample itself): the payoff of
+/// coalescing requests into fused micro-batches over single-request
+/// serving.
 #[must_use]
 pub fn speedup_vs_single_request(report: &SuiteReport, sample: &ServeSample) -> f64 {
     report
         .samples
         .iter()
-        .find(|s| s.clients == sample.clients && s.max_batch_images == 1 && s.fused == sample.fused)
+        .find(|s| s.clients == sample.clients && s.max_batch_images == 1)
         .map_or(f64::NAN, |single| {
             if single.images_per_second > 0.0 {
                 sample.images_per_second / single.images_per_second
@@ -467,7 +444,7 @@ pub fn speedup_vs_single_request(report: &SuiteReport, sample: &ServeSample) -> 
         })
 }
 
-/// Render the whole report as the `tfapprox-bench-serve/3` JSON document.
+/// Render the whole report as the `tfapprox-bench-serve/4` JSON document.
 #[must_use]
 pub fn report_json(report: &SuiteReport, quick: bool) -> String {
     let serial = json::object(&[
@@ -488,7 +465,6 @@ pub fn report_json(report: &SuiteReport, quick: bool) -> String {
                 ("shards", json::integer(s.shards as u64)),
                 ("max_batch_images", json::integer(s.max_batch_images as u64)),
                 ("flush_ticks", json::integer(s.flush_ticks as u64)),
-                ("fused", json::boolean(s.fused)),
                 ("requests", json::integer(s.requests)),
                 ("images", json::integer(s.images)),
                 ("batches", json::integer(s.batches)),
@@ -520,7 +496,6 @@ pub fn report_json(report: &SuiteReport, quick: bool) -> String {
                 ("clients", json::integer(s.clients as u64)),
                 ("shards", json::integer(s.shards as u64)),
                 ("max_batch_images", json::integer(s.max_batch_images as u64)),
-                ("fused", json::boolean(s.fused)),
                 ("requests", json::integer(s.requests)),
                 ("images", json::integer(s.images)),
                 ("batches", json::integer(s.batches)),
@@ -539,7 +514,7 @@ pub fn report_json(report: &SuiteReport, quick: bool) -> String {
         })
         .collect();
     json::object(&[
-        ("schema", json::string("tfapprox-bench-serve/3")),
+        ("schema", json::string("tfapprox-bench-serve/4")),
         ("mode", json::string(if quick { "quick" } else { "full" })),
         (
             "threads",

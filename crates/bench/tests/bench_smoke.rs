@@ -94,8 +94,8 @@ fn quick_serve_suite_emits_well_formed_json() {
     let report = serve_bench::run_suite(true);
     assert_eq!(
         report.samples.len(),
-        serve_bench::CLIENT_SWEEP.len() * serve_bench::BUDGET_SWEEP.len() * 2,
-        "one fused + one unfused sample per (clients, budget) point"
+        serve_bench::CLIENT_SWEEP.len() * serve_bench::BUDGET_SWEEP.len(),
+        "one sample per (clients, budget) point"
     );
     assert!(report.serial.images_per_second > 0.0);
     for s in &report.samples {
@@ -112,22 +112,18 @@ fn quick_serve_suite_emits_well_formed_json() {
             assert!((s.mean_occupancy - 1.0).abs() < 1e-9);
             assert_eq!(s.fused_batches, 0);
         }
-        if !s.fused {
-            assert_eq!(s.fused_batches, 0, "fusion off must never fuse");
-        }
         assert!(s.fused_batches <= s.batches);
     }
-    // Every sweep point must appear as an A/B pair: fused and unfused.
+    // Every sweep point must appear.
     for &clients in &serve_bench::CLIENT_SWEEP {
         for &budget in &serve_bench::BUDGET_SWEEP {
-            for fused in [true, false] {
-                assert!(
-                    report.samples.iter().any(|s| s.clients == clients
-                        && s.max_batch_images == budget
-                        && s.fused == fused),
-                    "missing (clients {clients}, budget {budget}, fused {fused}) sample"
-                );
-            }
+            assert!(
+                report
+                    .samples
+                    .iter()
+                    .any(|s| s.clients == clients && s.max_batch_images == budget),
+                "missing (clients {clients}, budget {budget}) sample"
+            );
         }
     }
     // Coalescing must actually happen somewhere in the sweep: at least
@@ -139,10 +135,11 @@ fn quick_serve_suite_emits_well_formed_json() {
             .any(|s| s.max_batch_images > 1 && s.mean_occupancy > 1.0),
         "no point in the sweep ever coalesced"
     );
-    // A coalesced fused point must actually have fused: every
-    // multi-request micro-batch of this single-shape sweep is eligible.
+    // A coalesced point must count its fused batches: every micro-batch
+    // runs fused, so fewer batches than requests means at least one
+    // batch carried more than one request.
     for s in &report.samples {
-        if s.fused && s.batches < s.requests {
+        if s.batches < s.requests {
             assert!(
                 s.fused_batches >= 1,
                 "point (clients {}, budget {}) coalesced but never fused",
@@ -164,6 +161,15 @@ fn quick_serve_suite_emits_well_formed_json() {
         assert_eq!(t.requests_shed, 0, "sweep queue must be deep enough");
         assert!(t.requests > 0 && t.images == t.requests * serve_bench::IMAGES_PER_REQUEST as u64);
         assert!(t.batches >= 1 && t.batches <= t.requests);
+        assert!(t.fused_batches <= t.batches);
+        if t.batches < t.requests {
+            assert!(
+                t.fused_batches >= 1,
+                "tenant point (tenants {}, clients {}) coalesced but never fused",
+                t.tenants,
+                t.clients
+            );
+        }
         assert!(t.images_per_second > 0.0);
         assert!(t.p50_s > 0.0, "latency histogram must populate");
         assert!(t.p50_s <= t.p95_s && t.p95_s <= t.p99_s);
@@ -179,15 +185,13 @@ fn quick_serve_suite_emits_well_formed_json() {
     let doc = serve_bench::report_json(&report, true);
     json::validate(&doc).expect("BENCH_serve.json must be well-formed JSON");
     for needle in [
-        "\"schema\": \"tfapprox-bench-serve/3\"",
+        "\"schema\": \"tfapprox-bench-serve/4\"",
         "\"mode\": \"quick\"",
         "\"serial\"",
         "\"cases\"",
         "\"tenant_cases\"",
         "\"tenants\"",
         "\"max_batch_images\"",
-        "\"fused\": true",
-        "\"fused\": false",
         "\"fused_batches\"",
         "\"mean_occupancy\"",
         "\"requests_shed\"",

@@ -42,7 +42,6 @@
 pub mod cost;
 pub mod device;
 pub mod kernels;
-pub mod memory;
 pub mod profile;
 pub mod texture;
 

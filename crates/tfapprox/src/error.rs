@@ -1,4 +1,5 @@
 use std::fmt;
+use std::time::Duration;
 
 /// The one error type of the crate.
 ///
@@ -7,8 +8,10 @@ use std::fmt;
 /// graph construction/execution ([`axnn::NnError`]), multiplier-catalog
 /// lookups ([`axmult::MultError`]), tensor/shape errors
 /// ([`axtensor::TensorError`]), and serving-engine rejections
-/// ([`crate::serve::ServeError`]) — is, or converts into, this one type
-/// via `From`, so `?` works uniformly at every call site.
+/// ([`Error::Overloaded`], [`Error::DeadlineExceeded`],
+/// [`Error::ShuttingDown`], [`Error::BatchFailed`]) — is, or converts
+/// into, this one type via `From`, so `?` works uniformly at every call
+/// site.
 #[derive(Debug)]
 #[non_exhaustive]
 pub enum Error {
@@ -21,10 +24,29 @@ pub enum Error {
     /// An invalid emulation or session parameter (including a
     /// non-finite quantization range).
     Config(String),
-    /// A serving-engine rejection (backpressure shed, shutdown, or a
-    /// failed batch) — every request outcome is explicit, never a silent
-    /// drop.
-    Serve(crate::serve::ServeError),
+    /// The serving engine's bounded submission queue was full — the
+    /// request was shed at submission time (explicit backpressure).
+    Overloaded {
+        /// The configured [`crate::ServeConfig::queue_depth`] that was
+        /// full.
+        depth: usize,
+    },
+    /// The request's SLO deadline expired before a shard started its
+    /// micro-batch — it was shed at batch-formation time instead of
+    /// wasting compute on an answer the caller no longer wants. Distinct
+    /// from [`Error::Overloaded`]: the queue had room, the latency
+    /// budget did not.
+    DeadlineExceeded {
+        /// The latency budget the request was submitted with.
+        budget: Duration,
+    },
+    /// The serving engine is shutting down and no longer accepts
+    /// submissions.
+    ShuttingDown,
+    /// The micro-batch this request was part of failed to execute, or
+    /// the response channel was severed; the message carries the
+    /// underlying failure.
+    BatchFailed(String),
     /// A circuit-to-LUT compilation failure (netlist shape, verification,
     /// registration) from the [`crate::compile`] pipeline.
     Compile(axcompile::CompileError),
@@ -40,7 +62,18 @@ impl fmt::Display for Error {
             Error::Mult(e) => write!(f, "multiplier error: {e}"),
             Error::Tensor(e) => write!(f, "tensor error: {e}"),
             Error::Config(msg) => write!(f, "configuration error: {msg}"),
-            Error::Serve(e) => write!(f, "serving error: {e}"),
+            Error::Overloaded { depth } => write!(
+                f,
+                "serving error: request shed: submission queue full ({depth} requests)"
+            ),
+            Error::DeadlineExceeded { budget } => write!(
+                f,
+                "serving error: request shed: deadline exceeded (budget {budget:?})"
+            ),
+            Error::ShuttingDown => write!(f, "serving error: engine is shutting down"),
+            Error::BatchFailed(msg) => {
+                write!(f, "serving error: batch execution failed: {msg}")
+            }
             Error::Compile(e) => write!(f, "multiplier compilation error: {e}"),
             Error::Io(e) => write!(f, "i/o error: {e}"),
         }
@@ -53,8 +86,11 @@ impl std::error::Error for Error {
             Error::Nn(e) => Some(e),
             Error::Mult(e) => Some(e),
             Error::Tensor(e) => Some(e),
-            Error::Config(_) => None,
-            Error::Serve(e) => Some(e),
+            Error::Config(_)
+            | Error::Overloaded { .. }
+            | Error::DeadlineExceeded { .. }
+            | Error::ShuttingDown
+            | Error::BatchFailed(_) => None,
             Error::Compile(e) => Some(e),
             Error::Io(e) => Some(e),
         }
@@ -70,12 +106,6 @@ impl From<axcompile::CompileError> for Error {
 impl From<std::io::Error> for Error {
     fn from(e: std::io::Error) -> Self {
         Error::Io(e)
-    }
-}
-
-impl From<crate::serve::ServeError> for Error {
-    fn from(e: crate::serve::ServeError) -> Self {
-        Error::Serve(e)
     }
 }
 

@@ -1,10 +1,12 @@
-//! Minimal JSON emission and validation.
+//! Minimal JSON emission and validation — the workspace's one JSON
+//! writer.
 //!
-//! The offline container has no `serde_json`, so the benchmark trajectory
-//! file (`BENCH_conv.json`) is emitted through this hand-rolled writer
-//! and checked by the bench-smoke test through the hand-rolled validator
-//! — a strict recursive-descent syntax checker over the full JSON
-//! grammar (RFC 8259), minus duplicate-key detection.
+//! The workspace builds without `serde_json`, so the session report
+//! ([`crate::EmulationReport::to_json`]) and every benchmark trajectory
+//! file (`BENCH_*.json`) are emitted through this hand-rolled writer and
+//! checked by the bench-smoke test through the hand-rolled validator — a
+//! strict recursive-descent syntax checker over the full JSON grammar
+//! (RFC 8259), minus duplicate-key detection.
 
 use std::fmt::Write as _;
 

@@ -34,6 +34,8 @@
 //!   event-driven shard wakeup, SLO deadline shedding, explicit
 //!   backpressure, p50/p95/p99 latency stats, and
 //!   bit-identical-to-solo responses,
+//! - [`json`]: the workspace's one JSON writer and validator (session
+//!   reports and every `BENCH_*.json` trajectory file),
 //! - [`prelude`]: one `use tfapprox::prelude::*` for all of the above.
 //!
 //! Underneath sit the operator and engine layers:
@@ -90,6 +92,7 @@ pub mod axconv2d;
 pub mod backend;
 pub mod compile;
 pub mod context;
+pub mod json;
 pub mod kernel;
 pub mod perfmodel;
 pub mod pool;
@@ -111,7 +114,7 @@ pub use pool::WorkerPool;
 pub use prepared::PreparedFilter;
 pub use runtime::{run_accurate_cpu, EmulationReport};
 pub use serve::{
-    LatencyHistogram, RegistryStats, ServeConfig, ServeEngine, ServeError, ServeStats, SessionKey,
+    LatencyHistogram, RegistryStats, ServeConfig, ServeEngine, ServeStats, SessionKey,
     SessionRegistry, TenantServeStats, Ticket,
 };
 pub use session::{Session, SessionBuilder};
@@ -133,8 +136,7 @@ pub mod prelude {
     pub use crate::pool::WorkerPool;
     pub use crate::runtime::EmulationReport;
     pub use crate::serve::{
-        ServeConfig, ServeEngine, ServeError, ServeStats, SessionKey, SessionRegistry,
-        TenantServeStats, Ticket,
+        ServeConfig, ServeEngine, ServeStats, SessionKey, SessionRegistry, TenantServeStats, Ticket,
     };
     pub use crate::session::{Session, SessionBuilder};
     pub use crate::sweep::sweep_uniform;

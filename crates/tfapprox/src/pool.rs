@@ -99,14 +99,23 @@ impl WorkerPool {
     /// method does not return before the last job completes, no borrow
     /// outlives its referent.
     ///
-    /// Must not be called from inside a pool job (the worker would wait on
-    /// work only it could execute).
+    /// A batch of exactly one job runs on the calling thread: the caller
+    /// would only block on it, and sessions that share one context (and
+    /// so one pool) must not queue their single-job GEMMs behind each
+    /// other on the pool's workers.
+    ///
+    /// A batch of more than one job must not be submitted from inside a
+    /// pool job (the worker would wait on work only it could execute).
     ///
     /// # Panics
     ///
     /// Panics if any job panicked (after all jobs have finished).
-    pub fn run<'env>(&self, jobs: Vec<Box<dyn FnOnce() + Send + 'env>>) {
-        if jobs.is_empty() {
+    pub fn run<'env>(&self, mut jobs: Vec<Box<dyn FnOnce() + Send + 'env>>) {
+        if jobs.len() <= 1 {
+            if let Some(job) = jobs.pop() {
+                let panicked = catch_unwind(AssertUnwindSafe(job)).is_err();
+                assert!(!panicked, "a worker-pool job panicked");
+            }
             return;
         }
         let total = jobs.len();
@@ -236,6 +245,18 @@ mod tests {
     }
 
     #[test]
+    fn single_job_runs_on_the_calling_thread() {
+        let pool = WorkerPool::new(2);
+        let caller = std::thread::current().id();
+        let mut ran_on = None;
+        pool.run(vec![
+            Box::new(|| ran_on = Some(std::thread::current().id()))
+                as Box<dyn FnOnce() + Send + '_>,
+        ]);
+        assert_eq!(ran_on, Some(caller));
+    }
+
+    #[test]
     fn zero_thread_request_still_works() {
         let pool = WorkerPool::new(0);
         assert_eq!(pool.threads(), 1);
@@ -294,7 +315,14 @@ mod tests {
                 Box::new(|| panic!("boom")) as Box<dyn FnOnce() + Send + '_>
             ]);
         }));
-        assert!(result.is_err());
+        // A one-job batch runs on the caller but keeps the batch panic
+        // contract: the job's own panic is caught, then re-raised as the
+        // pool's.
+        let payload = result.expect_err("the job panicked");
+        assert_eq!(
+            payload.downcast_ref::<&str>(),
+            Some(&"a worker-pool job panicked")
+        );
         // The worker thread is still alive and accepts new work.
         let ran = AtomicBool::new(false);
         pool.run(vec![

@@ -6,6 +6,7 @@
 //! module executes a (transformed) graph over evaluation batches and
 //! produces that decomposition.
 
+use crate::json;
 use crate::kernel::dispatch;
 use crate::{Accumulator, Backend, EmuContext, Error};
 use axnn::Graph;
@@ -70,72 +71,29 @@ impl EmulationReport {
     #[must_use]
     pub fn to_json(&self) -> String {
         let phase_entries = |f: &dyn Fn(Phase) -> f64| -> String {
-            let fields: Vec<String> = Phase::all()
-                .iter()
-                .map(|&p| {
-                    format!(
-                        "{}: {}",
-                        json_string(&format!("{p:?}").to_lowercase()),
-                        json_number(f(p))
-                    )
-                })
+            let names = Phase::all().map(|p| format!("{p:?}").to_lowercase());
+            let fields: Vec<(&str, String)> = Phase::all()
+                .into_iter()
+                .zip(&names)
+                .map(|(p, name)| (name.as_str(), json::number(f(p))))
                 .collect();
-            format!("{{{}}}", fields.join(", "))
+            json::object(&fields)
         };
-        let fields = [
-            ("schema", json_string("tfapprox-session-report/2")),
-            ("backend", json_string(&self.backend.to_string())),
-            ("kernel", json_string(self.kernel)),
-            ("tinit_s", json_number(self.tinit)),
-            ("tcomp_s", json_number(self.tcomp)),
-            ("total_s", json_number(self.total())),
-            ("images", format!("{}", self.images)),
-            ("images_per_second", json_number(self.images_per_second())),
+        json::object(&[
+            ("schema", json::string("tfapprox-session-report/2")),
+            ("backend", json::string(&self.backend.to_string())),
+            ("kernel", json::string(self.kernel)),
+            ("tinit_s", json::number(self.tinit)),
+            ("tcomp_s", json::number(self.tcomp)),
+            ("total_s", json::number(self.total())),
+            ("images", json::integer(self.images as u64)),
+            ("images_per_second", json::number(self.images_per_second())),
             ("phase_seconds", phase_entries(&|p| self.profile.seconds(p))),
             (
                 "phase_fractions",
                 phase_entries(&|p| self.profile.fraction(p)),
             ),
-        ];
-        let body: Vec<String> = fields
-            .iter()
-            .map(|(k, v)| format!("{}: {v}", json_string(k)))
-            .collect();
-        format!("{{{}}}", body.join(", "))
-    }
-}
-
-/// Escape and quote a JSON string literal (backend names and schema tags
-/// only — no control characters beyond the standard escapes expected).
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                use std::fmt::Write as _;
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Format a float as a JSON number (`null` for non-finite values).
-fn json_number(v: f64) -> String {
-    if v.is_finite() {
-        let s = format!("{v}");
-        if s.contains('.') || s.contains('e') {
-            s
-        } else {
-            format!("{s}.0")
-        }
-    } else {
-        "null".to_owned()
+        ])
     }
 }
 

@@ -17,8 +17,8 @@
 //!   micro-batch coalescing, **event-driven** shard wakeup (a shard
 //!   sleeps on the arrival condvar until its flush *deadline*; there is
 //!   no poll tick), per-request SLO deadlines with
-//!   [`ServeError::DeadlineExceeded`] shedding, and bounded-queue
-//!   backpressure with [`ServeError::Overloaded`].
+//!   [`Error::DeadlineExceeded`] shedding, and bounded-queue
+//!   backpressure with [`Error::Overloaded`].
 //! - [`histogram`] — a lock-free streaming [`LatencyHistogram`] that
 //!   gives [`ServeStats`] its p50/p95/p99 submit-to-response latencies:
 //!   the tail numbers that govern how much load the tier can admit.
@@ -27,26 +27,25 @@
 //!
 //! **Admission** (resolve the [`SessionKey`] through the registry,
 //! compile-on-miss, bounded-queue check) → **keyed coalesce** (a shard
-//! pops the first live request and coalesces only same-key arrivals) →
+//! pops the first live request and coalesces only arrivals with the
+//! same key *and* the same image shape `(h, w, c)`; a request of
+//! another shape keeps its queue position for a batch of its own) →
 //! **wakeup** (the shard sleeps until its flush deadline — or the
 //! tightest member SLO deadline — and is woken by arrivals) → **shed or
-//! execute** (expired requests answer `DeadlineExceeded`; the batch
-//! executes as **one fused** [`Session::infer_fused`] graph pass when
-//! [`ServeConfig::fuse_batches`] is on and every member shares one image
-//! shape, and as one [`Session::infer_batches`] pass per request
-//! otherwise, then answers every member).
+//! execute** (expired requests answer `DeadlineExceeded`; the batch —
+//! a single request is a one-segment batch — executes as **one fused**
+//! [`Session::infer_fused`] graph pass, then answers every member).
 //!
 //! # Determinism
 //!
-//! A request's output is **bit-identical** whether it ran solo, in any
-//! batch composition, fused or unfused, on any shard, under any tenant
-//! mix, before or after an LRU eviction of its session. For the
-//! per-request path this is as before: one graph pass per tensor. The
-//! fused path earns the same guarantee through **segments**: the batch
-//! tensor carries an [`axtensor::SegmentTable`] marking each request's
-//! image span, the transformed graph's `Min`/`Max` observers reduce *per
-//! segment* (never across request boundaries), and the LUT-GEMM epilogue
-//! applies each segment's own quantization parameters to its rows. The
+//! A request's output is **bit-identical** whether it ran solo or in
+//! any batch composition, on any shard, under any tenant mix, before or
+//! after an LRU eviction of its session. The fused micro-batch earns
+//! this guarantee through **segments**: the batch tensor carries an
+//! [`axtensor::SegmentTable`] marking each request's image span, the
+//! transformed graph's `Min`/`Max` observers reduce *per segment*
+//! (never across request boundaries), and the LUT-GEMM epilogue applies
+//! each segment's own quantization parameters to its rows. The
 //! cross-contamination that once made fusion unsafe — whole-tensor
 //! range observers bleeding one caller's data into another's
 //! quantization grid — is gone by construction, and the conformance
@@ -55,7 +54,8 @@
 //!
 //! [`Session`]: crate::Session
 //! [`Session::reassign`]: crate::Session::reassign
-//! [`Session::infer_batches`]: crate::Session::infer_batches
+//! [`Error::DeadlineExceeded`]: crate::Error::DeadlineExceeded
+//! [`Error::Overloaded`]: crate::Error::Overloaded
 //! [`Session::infer_fused`]: crate::Session::infer_fused
 //! [`Session::infer`]: crate::Session::infer
 
@@ -66,8 +66,7 @@ pub mod histogram;
 pub mod registry;
 
 pub use engine::{
-    ServeConfig, ServeEngine, ServeError, ServeStats, TenantServeStats, Ticket, DEFAULT_MODEL,
-    FLUSH_TICK,
+    ServeConfig, ServeEngine, ServeStats, TenantServeStats, Ticket, DEFAULT_MODEL, FLUSH_TICK,
 };
 pub use histogram::LatencyHistogram;
 pub use registry::{RegistryStats, SessionKey, SessionRegistry};

@@ -22,7 +22,7 @@ use std::sync::mpsc;
 use std::sync::{Arc, OnceLock};
 use std::thread;
 use std::time::Duration;
-use tfapprox::serve::{ServeConfig, ServeEngine, ServeError, SessionKey, SessionRegistry};
+use tfapprox::serve::{ServeConfig, ServeEngine, SessionKey, SessionRegistry};
 use tfapprox::{Assignment, Backend, Error, Session};
 
 /// Hard watchdog: run `body` on its own thread and panic if it does not
@@ -247,7 +247,7 @@ fn hammer_multi_tenant(shards: usize, clients: usize, per_client: usize, capacit
 /// with already-expired requests must not make a cold tenant's requests
 /// disappear. While the single shard is parked, the queue stays full —
 /// the cold tenant's submissions come back as explicit
-/// [`ServeError::Overloaded`] (never a silent drop), the hot tenant's
+/// [`Error::Overloaded`] (never a silent drop), the hot tenant's
 /// accepted-but-expired requests surface as deadline sheds charged to
 /// *its* per-tenant row, and after the storm the cold tenant is served
 /// bit-identically. Every counter is checked for exact equality with the
@@ -306,7 +306,7 @@ fn hot_tenant_cannot_silently_starve_cold_tenants() {
                 hot_seed += 1;
                 match engine.submit_within(&hot_key, request(hot_seed, 1), Duration::ZERO) {
                     Ok(t) => hot_doomed.push(t),
-                    Err(Error::Serve(ServeError::Overloaded { depth })) => {
+                    Err(Error::Overloaded { depth }) => {
                         assert_eq!(depth, QUEUE_DEPTH);
                         *hot_overloaded += 1;
                         return true;
@@ -332,7 +332,7 @@ fn hot_tenant_cannot_silently_starve_cold_tenants() {
         for _ in 0..100 {
             assert!(flood(&mut hot_doomed, &mut hot_overloaded));
             match engine.submit_to(&cold_key, request(7, 2)) {
-                Err(Error::Serve(ServeError::Overloaded { depth })) => {
+                Err(Error::Overloaded { depth }) => {
                     assert_eq!(depth, QUEUE_DEPTH);
                     cold_overloaded += 1;
                     cold_shed_observed = true;
@@ -353,7 +353,7 @@ fn hot_tenant_cannot_silently_starve_cold_tenants() {
         let hot_doomed_n = hot_doomed.len() as u64;
         for (i, t) in hot_doomed.into_iter().enumerate() {
             match t.wait() {
-                Err(Error::Serve(ServeError::DeadlineExceeded { budget })) => {
+                Err(Error::DeadlineExceeded { budget }) => {
                     assert_eq!(budget, Duration::ZERO)
                 }
                 other => panic!("doomed hot request {i} resolved as {other:?}"),
@@ -375,7 +375,7 @@ fn hot_tenant_cannot_silently_starve_cold_tenants() {
                     cold_answered += 1;
                     break;
                 }
-                Err(Error::Serve(ServeError::Overloaded { .. })) => {
+                Err(Error::Overloaded { .. }) => {
                     cold_overloaded += 1; // storm still draining — retry
                     thread::yield_now();
                 }
@@ -524,14 +524,13 @@ proptest! {
 
     /// Randomized segment layouts through the fused path: any request
     /// composition (zero-image segments included) run through
-    /// `Session::infer_fused` directly AND through the engine — fusion
-    /// toggled on and off — stays bit-identical to serial inference.
+    /// `Session::infer_fused` directly AND through the engine's fused
+    /// micro-batches stays bit-identical to serial inference.
     #[test]
     fn proptest_random_segment_layouts_fuse_bit_identically(
         sizes in proptest::collection::vec(0usize..4, 1..16),
         budget in 1usize..9,
         shards in 1usize..3,
-        fuse in any::<bool>(),
     ) {
         let sizes_for_watchdog = sizes.clone();
         with_watchdog(Duration::from_secs(120), move || {
@@ -563,8 +562,7 @@ proptest! {
                     .with_shards(shards)
                     .with_max_batch_images(budget)
                     .with_flush_ticks(1)
-                    .with_queue_depth(4096)
-                    .with_fuse_batches(fuse),
+                    .with_queue_depth(4096),
             )
             .unwrap();
             let tickets: Vec<_> = sizes
@@ -576,13 +574,13 @@ proptest! {
                 assert_eq!(
                     ticket.wait().unwrap(),
                     golden[i],
-                    "engine (fuse={fuse}) diverged on request {i} of layout {sizes:?} \
+                    "engine diverged on request {i} of layout {sizes:?} \
                      under budget {budget}, {shards} shard(s)"
                 );
             }
-            if !fuse {
-                assert_eq!(engine.stats().fused_batches, 0);
-            }
+            let stats = engine.stats();
+            assert_eq!(stats.requests, sizes.len() as u64);
+            assert!(stats.fused_batches <= stats.batches);
         });
     }
 
