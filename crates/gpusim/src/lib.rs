@@ -17,8 +17,9 @@
 //!    converts to seconds, attributed to the paper's Fig. 2 phases via
 //!    [`profile::PhaseProfile`].
 //!
-//! The texture cache is modeled as a set-associative LRU ([`TextureCache`])
-//! so LUT locality — the mechanism the paper's speedup rests on — is
+//! The texture cache is modeled as a 4-way set-associative LRU
+//! ([`TextureCache`]: fixed-width sets kept most-recently-used last) so
+//! LUT locality — the mechanism the paper's speedup rests on — is
 //! actually measured rather than assumed.
 //!
 //! # Example
@@ -27,14 +28,11 @@
 //! use gpusim::{DeviceConfig, TextureCache};
 //!
 //! let dev = DeviceConfig::gtx1080();
-//! let mut cache = TextureCache::new(dev.tex_cache_bytes, dev.tex_cache_line, 4);
+//! let mut cache = TextureCache::new(dev.tex_cache_bytes, dev.tex_cache_line).unwrap();
 //! // A warm LUT access pattern hits almost always:
-//! for _ in 0..4 {
-//!     for i in (0..4096u32).step_by(2) {
-//!         cache.access(i);
-//!     }
-//! }
-//! assert!(cache.stats().hit_rate() > 0.9);
+//! let pattern: Vec<u16> = (0..4096u16).step_by(2).collect();
+//! let hits: u64 = (0..4).map(|_| cache.access(&pattern)).sum();
+//! assert!(hits as f64 / (4 * pattern.len()) as f64 > 0.9);
 //! ```
 
 #![deny(missing_docs)]
@@ -50,4 +48,4 @@ pub use device::DeviceConfig;
 pub use kernels::gemm::approx_gemm;
 pub use kernels::im2col::{im2col_quant, PatchSumStrategy};
 pub use profile::{Phase, PhaseProfile};
-pub use texture::{CacheStats, TextureCache};
+pub use texture::TextureCache;

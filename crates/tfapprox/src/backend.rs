@@ -419,8 +419,14 @@ pub fn run_gpusim(
     let mut start = 0usize;
     while start < n {
         let count = ctx.chunk_size().min(n - start);
+        // One chunk covering the whole batch reads `input` in place.
+        let chunk = if count == n {
+            Cow::Borrowed(input)
+        } else {
+            Cow::Owned(input.batch_slice(start, count))
+        };
         let im2col = im2col_quant(
-            &input.batch_slice(start, count),
+            &chunk,
             fs,
             spec.geometry,
             spec.input_q,

@@ -67,13 +67,19 @@ impl EmuContext {
     #[must_use]
     pub fn new(backend: Backend) -> Self {
         Self::with_device(backend, DeviceConfig::gtx1080())
+            .expect("the GTX-1080 texture-cache geometry is valid")
     }
 
     /// A context with an explicit device configuration.
-    #[must_use]
-    pub fn with_device(backend: Backend, device: DeviceConfig) -> Self {
-        let cache = TextureCache::new(device.tex_cache_bytes, device.tex_cache_line, 4);
-        EmuContext {
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::Config`] if the device's texture-cache geometry
+    /// is invalid (see [`TextureCache::new`]).
+    pub fn with_device(backend: Backend, device: DeviceConfig) -> Result<Self, Error> {
+        let cache = TextureCache::new(device.tex_cache_bytes, device.tex_cache_line)
+            .map_err(|err| Error::Config(format!("device '{}': {err}", device.name)))?;
+        Ok(EmuContext {
             backend,
             device,
             // Algorithm 1 splits the batch "into chunks of a constant size
@@ -86,7 +92,7 @@ impl EmuContext {
             events: Mutex::new(EventCounts::new()),
             cache: Mutex::new(cache),
             pool: OnceLock::new(),
-        }
+        })
     }
 
     /// Override the Algorithm-1 chunk size (images per chunk).
@@ -240,11 +246,8 @@ mod tests {
     #[test]
     fn cache_state_persists() {
         let ctx = EmuContext::new(Backend::GpuSim);
-        ctx.with_cache(|c| {
-            c.access(0);
-        });
-        let hit = ctx.with_cache(|c| c.access(0));
-        assert_eq!(hit, gpusim::texture::Access::Hit);
+        assert_eq!(ctx.with_cache(|c| c.access(&[0])), 0);
+        assert_eq!(ctx.with_cache(|c| c.access(&[0])), 1);
     }
 
     #[test]

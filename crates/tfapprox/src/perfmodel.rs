@@ -205,7 +205,7 @@ pub fn gpu_approx_times(
 ) -> Result<(ConfigTimes, PhaseProfile), Error> {
     let graph = cfg.build(seed)?;
     let ctx = Arc::new(
-        EmuContext::with_device(Backend::GpuSim, dev.clone())
+        EmuContext::with_device(Backend::GpuSim, dev.clone())?
             .with_chunk_size(sample_images.max(1))?,
     );
     let ax = approximate(&graph, mult, &ctx)?;

@@ -166,7 +166,7 @@ impl SessionBuilder {
     /// Validate the configuration and build the shared emulation context.
     fn build_context(&self) -> Result<Arc<EmuContext>, Error> {
         let mut ctx = match &self.device {
-            Some(dev) => EmuContext::with_device(self.backend, dev.clone()),
+            Some(dev) => EmuContext::with_device(self.backend, dev.clone())?,
             None => EmuContext::new(self.backend),
         };
         if let Some(chunk) = self.chunk_size {
@@ -192,8 +192,9 @@ impl SessionBuilder {
     /// # Errors
     ///
     /// - [`Error::Config`] if no multiplier/assignment was set, the chunk
-    ///   size or thread count is zero, or the assignment does not match
-    ///   the graph's convolution-layer count.
+    ///   size or thread count is zero, the device's texture-cache
+    ///   geometry is invalid, or the assignment does not match the
+    ///   graph's convolution-layer count.
     /// - Propagates graph-transform and plan-build failures.
     pub fn compile(&self, graph: &Graph) -> Result<Session, Error> {
         let assignment = match (&self.assignment, &self.named_multiplier) {
@@ -584,6 +585,45 @@ mod tests {
             .compile(&graph)
             .unwrap_err();
         assert!(err.to_string().contains("thread count"), "{err}");
+    }
+
+    fn compile_on(device: DeviceConfig) -> Result<Session, Error> {
+        let graph = ResNetConfig::with_depth(8).unwrap().build(1).unwrap();
+        Session::builder()
+            .backend(Backend::GpuSim)
+            .device(device)
+            .multiplier(&exact())
+            .compile(&graph)
+    }
+
+    #[test]
+    fn compile_rejects_a_texture_line_that_is_not_a_power_of_two() {
+        for line in [0, 1, 24] {
+            let dev = DeviceConfig {
+                tex_cache_line: line,
+                ..DeviceConfig::gtx1080()
+            };
+            let err = compile_on(dev).expect_err("invalid line accepted");
+            assert!(matches!(err, Error::Config(_)), "{err}");
+            assert!(err.to_string().contains("power of two"), "{err}");
+        }
+    }
+
+    #[test]
+    fn compile_rejects_a_texture_cache_below_one_set() {
+        let dev = DeviceConfig {
+            tex_cache_bytes: 64,
+            ..DeviceConfig::gtx1080()
+        };
+        let err = compile_on(dev).expect_err("sub-set cache accepted");
+        assert!(matches!(err, Error::Config(_)), "{err}");
+        assert!(err.to_string().contains("fewer than one"), "{err}");
+        // One full 4-way set is the smallest valid cache.
+        let dev = DeviceConfig {
+            tex_cache_bytes: 4 * 32,
+            ..DeviceConfig::gtx1080()
+        };
+        assert!(compile_on(dev).is_ok());
     }
 
     #[test]
