@@ -4,6 +4,7 @@ use crate::layer::Layer;
 use crate::layers::{Conv2D, MaxOf, MinOf};
 use crate::NnError;
 use axtensor::{SegmentTable, Shape4, Tensor};
+use std::borrow::Cow;
 use std::sync::Arc;
 
 /// Identifier of a graph node.
@@ -183,25 +184,7 @@ impl Graph {
     /// - [`NnError::NoOutput`] if no output node was declared.
     /// - Propagates layer execution errors.
     pub fn forward(&self, input: &Tensor<f32>) -> Result<Tensor<f32>, NnError> {
-        let out = self.output.ok_or(NnError::NoOutput)?;
-        let mut values: Vec<Option<Tensor<f32>>> = vec![None; self.nodes.len()];
-        for (i, node) in self.nodes.iter().enumerate() {
-            let value = match &node.kind {
-                NodeKind::Input => input.clone(),
-                NodeKind::Op(layer) => {
-                    let ins: Vec<&Tensor<f32>> = node
-                        .inputs
-                        .iter()
-                        .map(|id| values[id.0].as_ref().expect("topological order"))
-                        .collect();
-                    layer.forward(&ins)?
-                }
-            };
-            values[i] = Some(value);
-            // Free tensors no longer needed? Kept simple: graphs here are
-            // small; peak memory is not the bottleneck of the emulation.
-        }
-        Ok(values[out.0].take().expect("executed above"))
+        self.execute(input, |layer, ins| layer.forward(ins))
     }
 
     /// Execute the graph on one *fused* input batch whose batch axis is
@@ -225,29 +208,42 @@ impl Graph {
         input: &Tensor<f32>,
         segments: &SegmentTable,
     ) -> Result<Tensor<f32>, NnError> {
-        let out = self.output.ok_or(NnError::NoOutput)?;
+        if self.output.is_none() {
+            return Err(NnError::NoOutput);
+        }
         if segments.total() != input.shape().n {
             return Err(NnError::SegmentMismatch {
                 images: input.shape().n,
                 covered: segments.total(),
             });
         }
-        let mut values: Vec<Option<Tensor<f32>>> = vec![None; self.nodes.len()];
+        self.execute(input, |layer, ins| layer.forward_segmented(ins, segments))
+    }
+
+    /// Run every node in topological order, each operator through `run`.
+    /// The `Input` node borrows `input`; only operator outputs are owned.
+    fn execute(
+        &self,
+        input: &Tensor<f32>,
+        mut run: impl FnMut(&dyn Layer, &[&Tensor<f32>]) -> Result<Tensor<f32>, NnError>,
+    ) -> Result<Tensor<f32>, NnError> {
+        let out = self.output.ok_or(NnError::NoOutput)?;
+        let mut values: Vec<Option<Cow<'_, Tensor<f32>>>> = vec![None; self.nodes.len()];
         for (i, node) in self.nodes.iter().enumerate() {
             let value = match &node.kind {
-                NodeKind::Input => input.clone(),
+                NodeKind::Input => Cow::Borrowed(input),
                 NodeKind::Op(layer) => {
                     let ins: Vec<&Tensor<f32>> = node
                         .inputs
                         .iter()
-                        .map(|id| values[id.0].as_ref().expect("topological order"))
+                        .map(|id| values[id.0].as_deref().expect("topological order"))
                         .collect();
-                    layer.forward_segmented(&ins, segments)?
+                    Cow::Owned(run(layer.as_ref(), &ins)?)
                 }
             };
             values[i] = Some(value);
         }
-        Ok(values[out.0].take().expect("executed above"))
+        Ok(values[out.0].take().expect("executed above").into_owned())
     }
 
     /// Infer the shape of every node for a given input shape.

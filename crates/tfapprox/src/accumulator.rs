@@ -11,6 +11,10 @@
 use serde::{Deserialize, Serialize};
 
 /// How partial products are accumulated in the emulated MAC.
+///
+/// The narrow models take a width of `1..=32` bits — up to the paper's
+/// 32-bit accumulator. [`Accumulator::validate`] checks it, and
+/// [`crate::SessionBuilder::compile`] rejects any other width.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
 pub enum Accumulator {
     /// Exact wide accumulation (`i64`) — the reference, and equivalent to
@@ -36,15 +40,47 @@ impl Accumulator {
                 let lo = -(1i64 << (bits - 1));
                 (acc + addend).clamp(lo, hi)
             }
+            Accumulator::Wrapping(_) => self.wrap_sum(acc + addend),
+        }
+    }
+
+    /// The value a [`Accumulator::Wrapping`] accumulator holds after
+    /// folding addends whose exact sum is `sum`: reduction mod 2ⁿ is a
+    /// ring homomorphism, so one wrap at the end equals a wrap after
+    /// every [`Accumulator::add`]. The other models return `sum`
+    /// unchanged (a saturating fold must clamp per addend).
+    #[inline]
+    #[must_use]
+    pub fn wrap_sum(self, sum: i64) -> i64 {
+        match self {
             Accumulator::Wrapping(bits) => {
                 let m = 1i64 << bits;
-                let v = (acc + addend).rem_euclid(m);
+                let v = sum.rem_euclid(m);
                 if v >= m / 2 {
                     v - m
                 } else {
                     v
                 }
             }
+            _ => sum,
+        }
+    }
+
+    /// Check that a narrow model's width is in `1..=32`.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the model when its width is 0 or above 32.
+    pub fn validate(self) -> Result<Self, String> {
+        match self {
+            Accumulator::Saturating(bits) | Accumulator::Wrapping(bits)
+                if !(1..=32).contains(&bits) =>
+            {
+                Err(format!(
+                    "accumulator {self:?}: width must be 1..=32 bits (got {bits})"
+                ))
+            }
+            _ => Ok(self),
         }
     }
 
@@ -86,6 +122,33 @@ mod tests {
         assert_eq!(a.add(120, 10), -126); // 130 - 256
         assert_eq!(a.add(-120, -10), 126); // -130 + 256
         assert_eq!(a.add(1, 1), 2);
+    }
+
+    #[test]
+    fn one_final_wrap_equals_a_wrap_per_add() {
+        for bits in [1, 8, 12, 32] {
+            let a = Accumulator::Wrapping(bits);
+            let addends = [65_535i64, -40_000, 12_345, -65_536, 777, 65_535];
+            let folded = addends.iter().fold(0, |acc, &v| a.add(acc, v));
+            assert_eq!(a.wrap_sum(addends.iter().sum()), folded, "{a:?}");
+        }
+        assert_eq!(Accumulator::Exact.wrap_sum(1 << 40), 1 << 40);
+        assert_eq!(Accumulator::Saturating(8).wrap_sum(100), 100);
+    }
+
+    #[test]
+    fn widths_outside_1_to_32_are_invalid() {
+        for bits in [1, 12, 31, 32] {
+            assert!(Accumulator::Saturating(bits).validate().is_ok());
+            assert!(Accumulator::Wrapping(bits).validate().is_ok());
+        }
+        for bits in [0, 33, 64, u32::MAX] {
+            for a in [Accumulator::Saturating(bits), Accumulator::Wrapping(bits)] {
+                let err = a.validate().unwrap_err();
+                assert!(err.contains("1..=32"), "{err}");
+            }
+        }
+        assert_eq!(Accumulator::Exact.validate(), Ok(Accumulator::Exact));
     }
 
     #[test]

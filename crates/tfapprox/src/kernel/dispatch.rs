@@ -11,11 +11,13 @@
 //!    host, `scalar-tiled` everywhere else ([`auto_kernel`]).
 //!
 //! Every arm is bit-identical for the models it handles, so the kernel
-//! **cannot change results** — only time. Order-sensitive accumulator
-//! models ([`Accumulator::Saturating`] / [`Accumulator::Wrapping`])
-//! always run the scalar walker, whose fold order is the specified one;
-//! SIMD reassociation is reserved for the exact model, where i64 addition
-//! is associative.
+//! **cannot change results** — only time. The `avx2-gather` arm serves
+//! all three accumulator models: exact sums reassociate freely, a
+//! [`Accumulator::Wrapping`] sum wraps once at the end, and an
+//! [`Accumulator::Saturating`] lane clamps after every tap in the scalar
+//! walker's ascending-`k` order. The one downgrade is `Saturating(32)`
+//! (or any width outside `1..=31`), whose clamp bounds an i32 lane
+//! cannot hold; it runs the scalar walker.
 
 use super::{lut_gemm_tiled_seg, TileConfig};
 use crate::accumulator::Accumulator;
@@ -29,8 +31,8 @@ use std::fmt;
 /// One arm of the LUT-GEMM kernel family.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum KernelKind {
-    /// The portable tiled scalar walker (PR 4) — always available, and
-    /// the only arm for order-sensitive accumulator models.
+    /// The portable tiled scalar walker — always available, and the
+    /// only arm for a `Saturating(32)` accumulator.
     ScalarTiled,
     /// AVX2 `vpgatherdd` row-gather kernel: 16 products per step fetched
     /// straight from the hoisted 512-byte LUT row — the CPU analogue of
@@ -95,13 +97,17 @@ pub fn auto_kernel() -> KernelKind {
     }
 }
 
-/// The arm that will actually run for a request: SIMD kernels handle only
-/// the exact accumulator model (their reassociated folds are bit-exact
-/// there and only there) and require runtime CPU support; everything else
-/// downgrades to the scalar walker. Sessions, reports and serve stats
-/// name this arm, so what they report is what ran.
+/// The arm that will actually run for a request: the SIMD arm needs
+/// runtime CPU support and i32 lanes that hold the accumulator's clamp
+/// bounds (every model but `Saturating` outside `1..=31` bits); anything
+/// else downgrades to the scalar walker. Sessions, reports and serve
+/// stats name this arm, so what they report is what ran.
 pub(crate) fn effective(kernel: KernelKind, accumulator: Accumulator) -> KernelKind {
-    if matches!(accumulator, Accumulator::Exact) && kernel.is_supported() {
+    let lanes_hold = match accumulator {
+        Accumulator::Saturating(bits) => (1..=31).contains(&bits),
+        _ => true,
+    };
+    if lanes_hold && kernel.is_supported() {
         kernel
     } else {
         KernelKind::ScalarTiled
@@ -167,9 +173,16 @@ pub fn lut_gemm_dispatch_seg(
 ) -> Vec<f32> {
     match effective(kernel, accumulator) {
         #[cfg(target_arch = "x86_64")]
-        KernelKind::Avx2Gather => {
-            super::simd::lut_gemm_simd_seg(patches, patch_sums, plan, seg_q, segments, lut, pool)
-        }
+        KernelKind::Avx2Gather => super::simd::lut_gemm_simd_seg(
+            patches,
+            patch_sums,
+            plan,
+            seg_q,
+            segments,
+            lut,
+            accumulator,
+            pool,
+        ),
         _ => lut_gemm_tiled_seg(
             patches,
             patch_sums,
@@ -223,19 +236,31 @@ mod tests {
     }
 
     #[test]
-    fn order_sensitive_models_downgrade_to_scalar() {
-        let k = KernelKind::Avx2Gather;
-        assert_eq!(
-            effective(k, Accumulator::Saturating(12)),
-            KernelKind::ScalarTiled
-        );
-        assert_eq!(
-            effective(k, Accumulator::Wrapping(10)),
-            KernelKind::ScalarTiled
-        );
-        assert_eq!(
-            effective(KernelKind::ScalarTiled, Accumulator::Exact),
-            KernelKind::ScalarTiled
-        );
+    fn every_model_runs_on_the_chosen_arm_except_saturating_32() {
+        for k in available_kernels() {
+            for accumulator in [
+                Accumulator::Exact,
+                Accumulator::Saturating(1),
+                Accumulator::Saturating(12),
+                Accumulator::Saturating(31),
+                Accumulator::Wrapping(1),
+                Accumulator::Wrapping(10),
+                Accumulator::Wrapping(32),
+            ] {
+                assert_eq!(effective(k, accumulator), k, "{k} {accumulator:?}");
+            }
+            assert_eq!(
+                effective(k, Accumulator::Saturating(32)),
+                KernelKind::ScalarTiled,
+                "{k}"
+            );
+        }
+        // An arm the CPU cannot run downgrades whatever the model.
+        if !KernelKind::Avx2Gather.is_supported() {
+            assert_eq!(
+                effective(KernelKind::Avx2Gather, Accumulator::Exact),
+                KernelKind::ScalarTiled
+            );
+        }
     }
 }

@@ -17,12 +17,14 @@
 //!   under order-sensitive [`Accumulator`] models).
 //! - `simd` (private, x86-64 only) — the `avx2-gather` arm: a
 //!   `vpgatherdd` per 8 products from the hoisted 512-byte LUT row of
-//!   [`axmult::MulLut::padded_entries`]. Exact accumulation only; the
-//!   module's source carries the bit-identity argument.
+//!   [`axmult::MulLut::padded_entries`]. It serves every accumulator
+//!   model but `Saturating(32)` — exact sums, one final wrap, or an
+//!   in-lane clamp per tap; the module's source carries the
+//!   bit-identity argument.
 //! - [`dispatch`] — the [`dispatch::KernelKind`] selector: an explicit
 //!   override, otherwise `avx2-gather` when the CPU has AVX2, otherwise
-//!   `scalar-tiled`; the SIMD arm silently falls back to the scalar
-//!   walker when the accumulator model rules it out.
+//!   `scalar-tiled`; a `Saturating(32)` accumulator, whose clamp bounds
+//!   no i32 lane holds, falls back to the scalar walker.
 //!
 //! Both entry-point flavours come *segmented*
 //! ([`lut_gemm_reference_seg`], [`lut_gemm_tiled_seg`],

@@ -1,10 +1,10 @@
 //! The scalar tiled span walker — the portable arm of the kernel family.
 //!
-//! This is PR 4's register micro-tile kernel, unchanged: [`tile_span`]
-//! walks one contiguous output-row span in [`TileConfig`] blocks with the
-//! active LUT row hoisted, and is the only arm that supports the
-//! order-sensitive [`Accumulator`] models (their folds must replay the
-//! exact ascending-`k` tap sequence, which vector reassociation cannot).
+//! [`tile_span`] walks one contiguous output-row span in [`TileConfig`]
+//! blocks with the active LUT row hoisted. Under the order-sensitive
+//! [`Accumulator`] models it replays the exact ascending-`k` tap sequence
+//! per output; it is the arm every host without AVX2 runs, and the only
+//! one for `Saturating(32)`, whose clamp bounds no SIMD lane holds.
 
 use super::{fold_taps, lut_dot, TileConfig, MR};
 use crate::accumulator::Accumulator;

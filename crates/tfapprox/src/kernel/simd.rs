@@ -14,19 +14,32 @@
 //!
 //! # Bit-identity
 //!
-//! This arm serves only [`Accumulator::Exact`] (the dispatch layer
-//! guarantees it). Every 16-bit product is decoded exactly — sign- or
-//! zero-extended per table signedness — and summed in integers wide
-//! enough to never wrap: per ≤4096-tap panel the i32 memory accumulator
-//! is exact (4096·65 535 < 2³¹), and the cross-panel i64 accumulator is
-//! the model's own width. Exact integer addition is associative, so any
-//! blocking/vectorization order produces the same i64 as the golden
-//! per-row fold — hence the same dequantized f32 bits. Padded lanes
-//! (`mh..mp`) compute garbage that is never read, and the gather's 4-byte
-//! read at row offset 255 lands on the trailing zero entry of
-//! [`MulLut::padded_entries`], never out of bounds.
+//! Every 16-bit product is decoded exactly — sign- or zero-extended per
+//! table signedness. How the products are summed depends on the
+//! accumulator model; each way lands on the golden per-row fold's i64,
+//! hence on the same dequantized f32 bits.
+//!
+//! - [`Accumulator::Exact`] and [`Accumulator::Wrapping`]: summed in
+//!   integers wide enough to never wrap — per ≤4096-tap panel the i32
+//!   memory accumulator is exact (4096·65 535 < 2³¹), and the cross-panel
+//!   accumulator is i64. Exact integer addition is associative, so any
+//!   blocking/vectorization order gives the golden exact sum. Reduction
+//!   mod 2ⁿ is a ring homomorphism, so wrapping that sum once
+//!   ([`Accumulator::wrap_sum`]) equals wrapping after every tap.
+//! - [`Accumulator::Saturating`] with `bits ≤ 31`: each i32 lane clamps
+//!   `min(max(acc + v, lo), hi)` after every tap (`acc + v` cannot
+//!   overflow: |acc| ≤ 2³⁰, |v| ≤ 65 535). The sweep is tap-outer, so
+//!   every lane folds its taps in ascending `k` — the scalar walker's
+//!   sequence — and the clamped state carries across `kc` panels through
+//!   the i64 accumulator. `Saturating(32)` bounds do not fit the lanes;
+//!   the dispatch layer sends it to the scalar walker.
+//!
+//! Padded lanes (`mh..mp`) compute garbage that is never read, and the
+//! gather's 4-byte read at row offset 255 lands on the trailing zero
+//! entry of [`MulLut::padded_entries`], never out of bounds.
 
 use super::check_seg_operands;
+use crate::accumulator::Accumulator;
 use crate::pool::WorkerPool;
 use crate::prepared::{PreparedFilter, SegmentEpilogue};
 use axmult::{MulLut, Signedness};
@@ -38,9 +51,8 @@ use std::arch::x86_64::*;
 /// like the scalar walker (contiguous row spans, partition-independent
 /// bits).
 ///
-/// Callers (the dispatch layer) must have verified AVX2 support; the
-/// accumulator model is implicitly
-/// [`Accumulator::Exact`](crate::accumulator::Accumulator::Exact).
+/// Callers (the dispatch layer) must have verified AVX2 support and
+/// that `accumulator` is not `Saturating` wider than 31 bits.
 ///
 /// # Panics
 ///
@@ -53,6 +65,7 @@ pub(super) fn lut_gemm_simd_seg(
     seg_q: &[QuantParams],
     segments: &SegmentTable,
     lut: &MulLut,
+    accumulator: Accumulator,
     pool: &WorkerPool,
 ) -> Vec<f32> {
     check_seg_operands(patches, patch_sums, plan, seg_q, segments);
@@ -84,6 +97,7 @@ pub(super) fn lut_gemm_simd_seg(
                 epi_ref,
                 table,
                 signedness,
+                accumulator,
             );
         }));
     }
@@ -97,6 +111,7 @@ pub(super) fn lut_gemm_simd_seg(
 /// rounded-up working width `mp` a multiple of 32 so the gathers sweep
 /// whole vectors; the tap dimension in `kc ≤ 4096` panels so the packed
 /// panel stays ≈1 MB and the per-channel i32 accumulator cannot wrap.
+/// A saturating model instead carries its clamped lanes across panels.
 #[allow(clippy::too_many_arguments)]
 fn simd_span(
     r0: usize,
@@ -108,6 +123,7 @@ fn simd_span(
     epi: &SegmentEpilogue,
     table: &[u16],
     signedness: Signedness,
+    accumulator: Accumulator,
 ) {
     let c_out = plan.c_out();
     let k_total = plan.k();
@@ -115,6 +131,11 @@ fn simd_span(
     if span_rows == 0 {
         return;
     }
+    // `Some((lo, hi))` when every tap must clamp in-lane.
+    let clamp = match accumulator {
+        Accumulator::Saturating(bits) => Some((-(1i32 << (bits - 1)), (1i32 << (bits - 1)) - 1)),
+        _ => None,
+    };
     let mb_step = ((2usize << 20) / (8 * c_out)).clamp(32, 4096) & !31;
     let mut pbuf: Vec<u8> = Vec::new();
     let mut acc32: Vec<i32> = Vec::new();
@@ -134,37 +155,53 @@ fn simd_span(
             let kw = kc.min(k_total - kb);
             pack_panel(patches, r0 + mb, mh, mp, kb, kw, &mut pbuf);
             for c in 0..c_out {
-                acc32[..mp].fill(0);
                 let fcol = &plan.channel_bytes(c)[kb..kb + kw];
+                let a64 = &mut acc64[c * mp..c * mp + mh];
+                match clamp {
+                    // Resume from the clamped state: it lies in `lo..=hi`,
+                    // so it fits an i32 lane (padded lanes stay bounded).
+                    Some(_) => {
+                        for (l, &a) in acc32.iter_mut().zip(a64.iter()) {
+                            *l = a as i32;
+                        }
+                    }
+                    None => acc32[..mp].fill(0),
+                }
+                let (lo, hi) = clamp.unwrap_or_default();
                 // SAFETY: AVX2 support is a precondition of this arm
                 // (checked by the dispatch layer); `pbuf` holds `kw*mp`
                 // packed bytes with `mp % 32 == 0`, `acc32` has `mp`
-                // lanes, and `table` is the gather-padded LUT (row reads
-                // stay in bounds — module docs).
+                // lanes (each in `lo..=hi`, `bits ≤ 31`, when clamping),
+                // and `table` is the gather-padded LUT (row reads stay
+                // in bounds — module docs).
                 unsafe {
-                    match signedness {
-                        Signedness::Signed => {
-                            gather_panel::<true>(&pbuf, fcol, table, &mut acc32, mp);
-                        }
-                        Signedness::Unsigned => {
-                            gather_panel::<false>(&pbuf, fcol, table, &mut acc32, mp);
-                        }
-                    }
+                    let gather = match (signedness, clamp.is_some()) {
+                        (Signedness::Signed, false) => gather_panel::<true, false>,
+                        (Signedness::Unsigned, false) => gather_panel::<false, false>,
+                        (Signedness::Signed, true) => gather_panel::<true, true>,
+                        (Signedness::Unsigned, true) => gather_panel::<false, true>,
+                    };
+                    gather(&pbuf, fcol, table, &mut acc32, mp, lo, hi);
                 }
-                let a64 = &mut acc64[c * mp..c * mp + mh];
                 for (a, &v) in a64.iter_mut().zip(&acc32[..mh]) {
-                    *a += i64::from(v);
+                    *a = if clamp.is_some() {
+                        i64::from(v)
+                    } else {
+                        *a + i64::from(v)
+                    };
                 }
             }
         }
-        // Epilogue: Eq. 4 correction + dequantization under the owning
-        // segment's constants — live rows only, padded lanes dropped.
+        // Epilogue: the one wrap of a wrapping model, then Eq. 4
+        // correction + dequantization under the owning segment's
+        // constants — live rows only, padded lanes dropped.
         for i in 0..mh {
             let r = r0 + mb + i;
             let sp = patch_sums[r];
             let s = row_seg[r] as usize;
             for c in 0..c_out {
-                out_span[(mb + i) * c_out + c] = epi.dequantize(s, c, acc64[c * mp + i], sp);
+                let acc = accumulator.wrap_sum(acc64[c * mp + i]);
+                out_span[(mb + i) * c_out + c] = epi.dequantize(s, c, acc, sp);
             }
         }
     }
@@ -269,22 +306,27 @@ unsafe fn transpose16(patches: &Matrix<u8>, row0: usize, col0: usize, dst: *mut 
 /// The `vpgatherdd` arm: tap-outer sweep, so each tap's 512-byte LUT row
 /// stays L1-hot across the whole `mp` lane sweep; 16 lanes per step as
 /// two 8-lane gathers of 32-bit words, keeping the low 16 bits of each
-/// (sign- or zero-extended per `SIGNED`).
+/// (sign- or zero-extended per `SIGNED`). With `CLAMP`, every lane
+/// clamps to `lo..=hi` after each tap; otherwise `lo`/`hi` are unused.
 ///
 /// # Safety
 ///
 /// Requires AVX2. `pbuf` must hold `fcol.len()*mp` bytes, `mp % 16 == 0`,
-/// `acc32.len() >= mp`, and `padded` must be a
+/// `acc32.len() >= mp`, `CLAMP` requires `lo ≤ hi` with every lane of
+/// `acc32` in `lo..=hi` and `|lo|, |hi| ≤ 2³⁰`, and `padded` must be a
 /// [`MulLut::padded_entries`] table (`LUT_ENTRIES+1` entries) so the
 /// dword read at row offset 255 stays in bounds.
 #[target_feature(enable = "avx2")]
-unsafe fn gather_panel<const SIGNED: bool>(
+unsafe fn gather_panel<const SIGNED: bool, const CLAMP: bool>(
     pbuf: &[u8],
     fcol: &[u8],
     padded: &[u16],
     acc32: &mut [i32],
     mp: usize,
+    lo: i32,
+    hi: i32,
 ) {
+    let (lo, hi) = (_mm256_set1_epi32(lo), _mm256_set1_epi32(hi));
     for (k, &fb) in fcol.iter().enumerate() {
         let row = padded.as_ptr().add((fb as usize) << 8) as *const i32;
         let col = pbuf.as_ptr().add(k * mp);
@@ -308,14 +350,14 @@ unsafe fn gather_panel<const SIGNED: bool>(
             };
             let a0 = _mm256_loadu_si256(acc32.as_ptr().add(mb) as *const __m256i);
             let a1 = _mm256_loadu_si256(acc32.as_ptr().add(mb + 8) as *const __m256i);
-            _mm256_storeu_si256(
-                acc32.as_mut_ptr().add(mb) as *mut __m256i,
-                _mm256_add_epi32(a0, v0),
-            );
-            _mm256_storeu_si256(
-                acc32.as_mut_ptr().add(mb + 8) as *mut __m256i,
-                _mm256_add_epi32(a1, v1),
-            );
+            let mut s0 = _mm256_add_epi32(a0, v0);
+            let mut s1 = _mm256_add_epi32(a1, v1);
+            if CLAMP {
+                s0 = _mm256_min_epi32(_mm256_max_epi32(s0, lo), hi);
+                s1 = _mm256_min_epi32(_mm256_max_epi32(s1, lo), hi);
+            }
+            _mm256_storeu_si256(acc32.as_mut_ptr().add(mb) as *mut __m256i, s0);
+            _mm256_storeu_si256(acc32.as_mut_ptr().add(mb + 8) as *mut __m256i, s1);
             mb += 16;
         }
     }
@@ -354,6 +396,41 @@ mod tests {
         }
     }
 
+    /// The SIMD arm's output against the golden model, at 1 and 3 threads.
+    fn assert_matches_reference(
+        patches: &Matrix<u8>,
+        sums: &[i64],
+        plan: &PreparedFilter,
+        input_q: QuantParams,
+        lut: &MulLut,
+        accumulator: Accumulator,
+    ) -> Vec<f32> {
+        let seg_q = [input_q];
+        let segments = SegmentTable::single(patches.rows());
+        let reference =
+            lut_gemm_reference_seg(patches, sums, plan, &seg_q, &segments, lut, accumulator);
+        for threads in [1, 3] {
+            let pool = WorkerPool::new(threads);
+            let got = lut_gemm_simd_seg(
+                patches,
+                sums,
+                plan,
+                &seg_q,
+                &segments,
+                lut,
+                accumulator,
+                &pool,
+            );
+            assert_eq!(
+                got,
+                reference,
+                "{:?} {accumulator:?} x{threads}",
+                lut.signedness()
+            );
+        }
+        reference
+    }
+
     #[test]
     fn simd_arms_match_reference_both_signednesses() {
         if !avx2() {
@@ -363,22 +440,42 @@ mod tests {
         let fs = FilterShape::new(3, 3, 5, 7);
         for signedness in [Signedness::Signed, Signedness::Unsigned] {
             let (patches, sums, plan, input_q, lut) = setup_operands(53, fs, 11, signedness);
-            let seg_q = [input_q];
-            let segments = SegmentTable::single(patches.rows());
-            let reference = lut_gemm_reference_seg(
-                &patches,
-                &sums,
-                &plan,
-                &seg_q,
-                &segments,
-                &lut,
+            for accumulator in [
                 Accumulator::Exact,
-            );
-            for threads in [1, 3] {
-                let pool = WorkerPool::new(threads);
-                let got = lut_gemm_simd_seg(&patches, &sums, &plan, &seg_q, &segments, &lut, &pool);
-                assert_eq!(got, reference, "{signedness:?} x{threads}");
+                Accumulator::Saturating(12),
+                Accumulator::Wrapping(10),
+            ] {
+                assert_matches_reference(&patches, &sums, &plan, input_q, &lut, accumulator);
             }
+        }
+    }
+
+    #[test]
+    fn saturated_lanes_carry_across_k_panels() {
+        if !avx2() {
+            return;
+        }
+        // K = 4141 splits into a 4096-tap panel and a 45-tap one. Every
+        // product leans one way, so Saturating(12) pins each lane at a
+        // bound inside the first panel, while the second panel's 45 taps
+        // alone stay far inside the bounds: a lane that lost its state at
+        // the panel edge cannot match.
+        let fs = FilterShape::new(1, 1, 4141, 3);
+        let accumulator = Accumulator::Saturating(12);
+        for signedness in [Signedness::Signed, Signedness::Unsigned] {
+            let (patches, sums, plan, input_q, _) = setup_operands(40, fs, 7, signedness);
+            let lut = match signedness {
+                Signedness::Signed => MulLut::from_fn(signedness, |a, b| -((a * b).abs() >> 9)),
+                Signedness::Unsigned => MulLut::from_fn(signedness, |a, b| (a * b) >> 10),
+            };
+            let saturated =
+                assert_matches_reference(&patches, &sums, &plan, input_q, &lut, accumulator);
+            let exact =
+                assert_matches_reference(&patches, &sums, &plan, input_q, &lut, Accumulator::Exact);
+            assert!(
+                saturated.iter().zip(&exact).all(|(s, e)| s != e),
+                "{signedness:?}: every output must saturate"
+            );
         }
     }
 }

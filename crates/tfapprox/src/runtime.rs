@@ -32,8 +32,8 @@ pub struct EmulationReport {
     /// Images processed.
     pub images: usize,
     /// The LUT-GEMM kernel arm that executed the host GEMM (a
-    /// [`crate::kernel::KernelKind`] name; the scalar walker whenever the
-    /// accumulator model is order-sensitive), or `"none"` for backends
+    /// [`crate::kernel::KernelKind`] name; the scalar walker for a
+    /// `Saturating(32)` accumulator), or `"none"` for backends
     /// that never enter the host LUT-GEMM (direct CPU loops, the
     /// simulated GPU, the accurate baseline).
     pub kernel: &'static str,

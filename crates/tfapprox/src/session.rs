@@ -128,7 +128,8 @@ impl SessionBuilder {
     /// Set the MAC accumulator model of every emulated convolution (CPU
     /// backends; the simulated GPU accumulates in 32-bit float like the
     /// paper's kernel and ignores this knob). Default:
-    /// [`Accumulator::Exact`].
+    /// [`Accumulator::Exact`]. A narrow width outside `1..=32` fails at
+    /// [`SessionBuilder::compile`].
     #[must_use]
     pub fn accumulator(mut self, accumulator: Accumulator) -> Self {
         self.accumulator = accumulator;
@@ -192,9 +193,10 @@ impl SessionBuilder {
     /// # Errors
     ///
     /// - [`Error::Config`] if no multiplier/assignment was set, the chunk
-    ///   size or thread count is zero, the device's texture-cache
-    ///   geometry is invalid, or the assignment does not match the
-    ///   graph's convolution-layer count.
+    ///   size or thread count is zero, a narrow accumulator's width is
+    ///   outside `1..=32`, the device's texture-cache geometry is
+    ///   invalid, or the assignment does not match the graph's
+    ///   convolution-layer count.
     /// - Propagates graph-transform and plan-build failures.
     pub fn compile(&self, graph: &Graph) -> Result<Session, Error> {
         let assignment = match (&self.assignment, &self.named_multiplier) {
@@ -208,9 +210,9 @@ impl SessionBuilder {
                 ))
             }
         };
+        let accumulator = self.accumulator.validate().map_err(Error::Config)?;
         let ctx = self.build_context()?;
         let mults = assignment.resolve(graph.conv_layer_count())?;
-        let accumulator = self.accumulator;
         let (transformed, layers, replaced) = rewrite_with_mults(graph, &mults, |conv, mult| {
             Arc::new(
                 AxConv2D::from_conv2d(conv, mult, Arc::clone(&ctx)).with_accumulator(accumulator),
@@ -462,7 +464,8 @@ impl Session {
 
     /// The LUT-GEMM kernel arm this session's host GEMM runs: the arm
     /// selected at compile (see [`SessionBuilder::kernel`]), or the
-    /// scalar walker when the accumulator model is order-sensitive.
+    /// scalar walker for a `Saturating(32)` accumulator, whose clamp
+    /// bounds no SIMD lane holds.
     #[must_use]
     pub fn kernel(&self) -> KernelKind {
         crate::kernel::dispatch::effective(self.ctx.kernel(), self.accumulator)
@@ -585,6 +588,27 @@ mod tests {
             .compile(&graph)
             .unwrap_err();
         assert!(err.to_string().contains("thread count"), "{err}");
+    }
+
+    #[test]
+    fn compile_rejects_accumulator_widths_outside_1_to_32() {
+        let graph = ResNetConfig::with_depth(8).unwrap().build(1).unwrap();
+        let compile = |accumulator| {
+            Session::builder()
+                .multiplier(&exact())
+                .accumulator(accumulator)
+                .compile(&graph)
+        };
+        for bits in [0, 33] {
+            for accumulator in [Accumulator::Saturating(bits), Accumulator::Wrapping(bits)] {
+                let err = compile(accumulator).unwrap_err();
+                assert!(matches!(err, Error::Config(_)), "{err}");
+                assert!(err.to_string().contains("1..=32"), "{err}");
+            }
+        }
+        for accumulator in [Accumulator::Saturating(32), Accumulator::Wrapping(1)] {
+            assert!(compile(accumulator).is_ok(), "{accumulator:?}");
+        }
     }
 
     fn compile_on(device: DeviceConfig) -> Result<Session, Error> {

@@ -35,9 +35,9 @@ fn filter_shape(ix: usize, c_out: usize) -> FilterShape {
     }
 }
 
-/// All three accumulator models. Only `Exact` may take a SIMD arm; the
-/// order-sensitive models must downgrade to scalar inside dispatch and
-/// still match the reference bit for bit.
+/// All three accumulator models, each run on every arm: the SIMD arm
+/// wraps a `Wrapping` sum once and clamps a `Saturating` lane per tap,
+/// and must still match the reference bit for bit.
 fn accumulators() -> [Accumulator; 3] {
     [
         Accumulator::Exact,

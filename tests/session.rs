@@ -6,6 +6,7 @@ use axnn::resnet::{cifar_input_shape, ResNetConfig};
 use axtensor::{rng, Tensor};
 use proptest::prelude::*;
 use std::sync::Arc;
+use tfapprox::auto_kernel;
 use tfapprox::prelude::*;
 
 fn exact() -> AxMultiplier {
@@ -158,26 +159,42 @@ fn reassign_bit_identical_to_fresh_compile() {
     }
 }
 
-/// Order-sensitive accumulator models always run the scalar walker, so a
-/// `Saturating(12)` host-GEMM session must name `scalar-tiled` wherever it
+/// A narrow accumulator runs on the arm the context selected, so a
+/// `Saturating(12)` host-GEMM session must name that arm wherever it
 /// reports a kernel — the session, its report and its serving stats —
-/// whichever arm the context selected.
+/// and with no override that arm is [`auto_kernel`]. Only
+/// `Saturating(32)`, whose clamp bounds no SIMD lane holds, reports the
+/// scalar walker.
 #[test]
-fn narrow_accumulator_session_reports_the_scalar_arm() {
+fn narrow_accumulator_session_reports_the_arm_that_ran() {
     let graph = ResNetConfig::with_depth(8).unwrap().build(5).unwrap();
-    for kernel in available_kernels() {
-        let session = Session::builder()
+    let input = rng::uniform(cifar_input_shape(1), 3, -1.0, 1.0);
+    let compile = |kernel: Option<KernelKind>, accumulator| {
+        let builder = Session::builder()
             .backend(Backend::CpuGemm)
-            .kernel(kernel)
-            .accumulator(Accumulator::Saturating(12))
-            .multiplier(&exact())
-            .compile(&graph)
-            .unwrap();
-        assert_eq!(session.kernel(), KernelKind::ScalarTiled, "{kernel}");
-        let input = rng::uniform(cifar_input_shape(1), 3, -1.0, 1.0);
+            .accumulator(accumulator)
+            .multiplier(&exact());
+        match kernel {
+            Some(k) => builder.kernel(k),
+            None => builder,
+        }
+        .compile(&graph)
+        .unwrap()
+    };
+    let cases = available_kernels()
+        .into_iter()
+        .map(|k| (Some(k), Accumulator::Saturating(12), k))
+        .chain([
+            (None, Accumulator::Saturating(12), auto_kernel()),
+            (None, Accumulator::Saturating(32), KernelKind::ScalarTiled),
+        ]);
+    for (kernel, accumulator, want) in cases {
+        let session = compile(kernel, accumulator);
+        let tag = format!("{kernel:?} {accumulator:?}");
+        assert_eq!(session.kernel(), want, "{tag}");
         let (_, report) = session.infer_batches(std::slice::from_ref(&input)).unwrap();
-        assert_eq!(report.kernel, "scalar-tiled", "{kernel}");
+        assert_eq!(report.kernel, want.name(), "{tag}");
         let engine = ServeEngine::new(Arc::new(session), ServeConfig::new()).unwrap();
-        assert_eq!(engine.stats().kernel, "scalar-tiled", "{kernel}");
+        assert_eq!(engine.stats().kernel, want.name(), "{tag}");
     }
 }
