@@ -22,7 +22,8 @@ pub enum Accumulator {
     #[default]
     Exact,
     /// Saturating two's-complement accumulator of the given bit width:
-    /// sums clamp at `±(2^(bits−1) − 1)`.
+    /// the running sum clamps to `[−2^(bits−1), 2^(bits−1) − 1]` after
+    /// every addend.
     Saturating(u32),
     /// Wrapping two's-complement accumulator of the given bit width.
     Wrapping(u32),
@@ -83,18 +84,6 @@ impl Accumulator {
             _ => Ok(self),
         }
     }
-
-    /// Whether this model can deviate from exact accumulation for sums
-    /// bounded by `max_abs`.
-    #[must_use]
-    pub fn can_deviate(self, max_abs: i64) -> bool {
-        match self {
-            Accumulator::Exact => false,
-            Accumulator::Saturating(bits) | Accumulator::Wrapping(bits) => {
-                max_abs >= (1i64 << (bits - 1))
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -149,15 +138,6 @@ mod tests {
             }
         }
         assert_eq!(Accumulator::Exact.validate(), Ok(Accumulator::Exact));
-    }
-
-    #[test]
-    fn wide_accumulators_never_deviate_for_conv_sums() {
-        // Largest possible |sum| here: 4096 taps x 16384 < 2^26.
-        let max = 4096i64 * 16384;
-        assert!(!Accumulator::Saturating(32).can_deviate(max));
-        assert!(!Accumulator::Wrapping(32).can_deviate(max));
-        assert!(Accumulator::Saturating(20).can_deviate(max));
     }
 
     #[test]

@@ -7,12 +7,14 @@
 //! 1. An explicit override ([`crate::SessionBuilder::kernel`] /
 //!    [`crate::EmuContext::with_kernel`]) — always wins, rejected up
 //!    front if the CPU cannot run it.
-//! 2. Otherwise the hardware: `avx2-gather` on an AVX2-capable x86-64
-//!    host, `scalar-tiled` everywhere else ([`auto_kernel`]).
+//! 2. Otherwise the hardware, as a plain feature test
+//!    ([`auto_kernel`]): `avx512-vbmi` on an x86-64 host with AVX-512
+//!    F, BW and VBMI, else `avx2-gather` with AVX2, else `scalar-tiled`.
 //!
 //! Every arm is bit-identical for the models it handles, so the kernel
-//! **cannot change results** — only time. The `avx2-gather` arm serves
-//! all three accumulator models: exact sums reassociate freely, a
+//! **cannot change results** — only time. The two SIMD arms share one
+//! panel driver and differ only in how they fetch products, so both
+//! serve all three accumulator models: exact sums reassociate freely, a
 //! [`Accumulator::Wrapping`] sum wraps once at the end, and an
 //! [`Accumulator::Saturating`] lane clamps after every tap in the scalar
 //! walker's ascending-`k` order. The one downgrade is `Saturating(32)`
@@ -38,6 +40,11 @@ pub enum KernelKind {
     /// straight from the hoisted 512-byte LUT row — the CPU analogue of
     /// the paper's `tex1Dfetch<ushort>` texture path.
     Avx2Gather,
+    /// AVX-512 VBMI `vpermi2b` kernel: each tap's LUT row is split into
+    /// byte planes held in registers, and 64 products per step are
+    /// looked up with no memory access — the register file in the role
+    /// the paper gives the texture cache.
+    Avx512Vbmi,
 }
 
 impl KernelKind {
@@ -48,6 +55,7 @@ impl KernelKind {
         match self {
             KernelKind::ScalarTiled => "scalar-tiled",
             KernelKind::Avx2Gather => "avx2-gather",
+            KernelKind::Avx512Vbmi => "avx512-vbmi",
         }
     }
 
@@ -55,18 +63,21 @@ impl KernelKind {
     /// CPUID). [`KernelKind::ScalarTiled`] is always supported.
     #[must_use]
     pub fn is_supported(self) -> bool {
-        match self {
-            KernelKind::ScalarTiled => true,
-            KernelKind::Avx2Gather => {
-                #[cfg(target_arch = "x86_64")]
-                {
-                    std::arch::is_x86_feature_detected!("avx2")
-                }
-                #[cfg(not(target_arch = "x86_64"))]
-                {
-                    false
+        #[cfg(target_arch = "x86_64")]
+        {
+            use std::arch::is_x86_feature_detected as has;
+            match self {
+                KernelKind::ScalarTiled => true,
+                KernelKind::Avx2Gather => has!("avx2"),
+                // The shared panel packer uses AVX2 on every SIMD arm.
+                KernelKind::Avx512Vbmi => {
+                    has!("avx2") && has!("avx512f") && has!("avx512bw") && has!("avx512vbmi")
                 }
             }
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        {
+            self == KernelKind::ScalarTiled
         }
     }
 }
@@ -80,24 +91,27 @@ impl fmt::Display for KernelKind {
 /// Every kernel arm this process can execute, scalar first.
 #[must_use]
 pub fn available_kernels() -> Vec<KernelKind> {
-    [KernelKind::ScalarTiled, KernelKind::Avx2Gather]
-        .into_iter()
-        .filter(|k| k.is_supported())
-        .collect()
+    [
+        KernelKind::ScalarTiled,
+        KernelKind::Avx2Gather,
+        KernelKind::Avx512Vbmi,
+    ]
+    .into_iter()
+    .filter(|k| k.is_supported())
+    .collect()
 }
 
-/// The automatic kernel choice: `avx2-gather` when the CPU has AVX2,
-/// otherwise `scalar-tiled`.
+/// The automatic kernel choice: the most capable arm the CPU runs —
+/// `avx512-vbmi`, else `avx2-gather`, else `scalar-tiled`.
 #[must_use]
 pub fn auto_kernel() -> KernelKind {
-    if KernelKind::Avx2Gather.is_supported() {
-        KernelKind::Avx2Gather
-    } else {
-        KernelKind::ScalarTiled
-    }
+    [KernelKind::Avx512Vbmi, KernelKind::Avx2Gather]
+        .into_iter()
+        .find(|k| k.is_supported())
+        .unwrap_or(KernelKind::ScalarTiled)
 }
 
-/// The arm that will actually run for a request: the SIMD arm needs
+/// The arm that will actually run for a request: a SIMD arm needs
 /// runtime CPU support and i32 lanes that hold the accumulator's clamp
 /// bounds (every model but `Saturating` outside `1..=31` bits); anything
 /// else downgrades to the scalar walker. Sessions, reports and serve
@@ -173,7 +187,8 @@ pub fn lut_gemm_dispatch_seg(
 ) -> Vec<f32> {
     match effective(kernel, accumulator) {
         #[cfg(target_arch = "x86_64")]
-        KernelKind::Avx2Gather => super::simd::lut_gemm_simd_seg(
+        k @ (KernelKind::Avx2Gather | KernelKind::Avx512Vbmi) => super::simd::lut_gemm_simd_seg(
+            k,
             patches,
             patch_sums,
             plan,
@@ -205,6 +220,7 @@ mod tests {
     fn names_are_stable() {
         assert_eq!(KernelKind::ScalarTiled.name(), "scalar-tiled");
         assert_eq!(KernelKind::Avx2Gather.name(), "avx2-gather");
+        assert_eq!(KernelKind::Avx512Vbmi.name(), "avx512-vbmi");
         for k in available_kernels() {
             assert_eq!(k.to_string(), k.name());
         }
@@ -224,15 +240,26 @@ mod tests {
         assert!(k.is_supported());
         assert_eq!(k, auto_kernel(), "the choice must not flap");
         #[cfg(target_arch = "x86_64")]
-        let avx2 = std::arch::is_x86_feature_detected!("avx2");
+        let (avx2, vbmi) = {
+            use std::arch::is_x86_feature_detected as has;
+            (
+                has!("avx2"),
+                has!("avx2") && has!("avx512f") && has!("avx512bw") && has!("avx512vbmi"),
+            )
+        };
         #[cfg(not(target_arch = "x86_64"))]
-        let avx2 = false;
-        let want = if avx2 {
+        let (avx2, vbmi) = (false, false);
+        let want = if vbmi {
+            KernelKind::Avx512Vbmi
+        } else if avx2 {
             KernelKind::Avx2Gather
         } else {
             KernelKind::ScalarTiled
         };
-        assert_eq!(k, want, "auto is avx2-gather exactly when AVX2 is present");
+        assert_eq!(
+            k, want,
+            "auto is avx512-vbmi with AVX-512 F/BW/VBMI, else avx2-gather with AVX2, else scalar"
+        );
     }
 
     #[test]
@@ -256,11 +283,14 @@ mod tests {
             );
         }
         // An arm the CPU cannot run downgrades whatever the model.
-        if !KernelKind::Avx2Gather.is_supported() {
-            assert_eq!(
-                effective(KernelKind::Avx2Gather, Accumulator::Exact),
-                KernelKind::ScalarTiled
-            );
+        for k in [KernelKind::Avx2Gather, KernelKind::Avx512Vbmi] {
+            if !k.is_supported() {
+                assert_eq!(
+                    effective(k, Accumulator::Exact),
+                    KernelKind::ScalarTiled,
+                    "{k}"
+                );
+            }
         }
     }
 }

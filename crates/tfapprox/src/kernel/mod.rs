@@ -1,5 +1,5 @@
-//! The LUT-GEMM kernel family — a tiled scalar and an AVX2 arm behind one
-//! dispatch, all pinned bit-for-bit to an untiled golden model.
+//! The LUT-GEMM kernel family — a tiled scalar arm and two SIMD arms
+//! behind one dispatch, all pinned bit-for-bit to an untiled golden model.
 //!
 //! `BENCH_conv.json` shows the emulated-multiply inner loop (the
 //! `lutlookup` phase) dominating steady-state time on every backend. The
@@ -15,16 +15,19 @@
 //!   contiguous-row-span thread sharding whose per-row fold order is
 //!   partition-independent (bit-identical across thread counts, even
 //!   under order-sensitive [`Accumulator`] models).
-//! - `simd` (private, x86-64 only) — the `avx2-gather` arm: a
-//!   `vpgatherdd` per 8 products from the hoisted 512-byte LUT row of
-//!   [`axmult::MulLut::padded_entries`]. It serves every accumulator
-//!   model but `Saturating(32)` — exact sums, one final wrap, or an
-//!   in-lane clamp per tap; the module's source carries the
+//! - `simd` (private, x86-64 only) — one panel driver with two ways to
+//!   fetch products from the hoisted 512-byte LUT row of
+//!   [`axmult::MulLut::padded_entries`]: `avx2-gather` (a `vpgatherdd`
+//!   per 8 products) and `avx512-vbmi` (the row held in registers as
+//!   byte planes, a `vpermi2b` lookup per 64). Both serve every
+//!   accumulator model but `Saturating(32)` — exact sums, one final
+//!   wrap, or an in-lane clamp per tap; the module's source carries the
 //!   bit-identity argument.
 //! - [`dispatch`] — the [`dispatch::KernelKind`] selector: an explicit
-//!   override, otherwise `avx2-gather` when the CPU has AVX2, otherwise
-//!   `scalar-tiled`; a `Saturating(32)` accumulator, whose clamp bounds
-//!   no i32 lane holds, falls back to the scalar walker.
+//!   override, otherwise the most capable arm the CPU runs
+//!   (`avx512-vbmi`, then `avx2-gather`, then `scalar-tiled`); a
+//!   `Saturating(32)` accumulator, whose clamp bounds no i32 lane holds,
+//!   falls back to the scalar walker.
 //!
 //! Both entry-point flavours come *segmented*
 //! ([`lut_gemm_reference_seg`], [`lut_gemm_tiled_seg`],

@@ -1,10 +1,12 @@
 //! The scalar tiled span walker — the portable arm of the kernel family.
 //!
 //! [`tile_span`] walks one contiguous output-row span in [`TileConfig`]
-//! blocks with the active LUT row hoisted. Under the order-sensitive
-//! [`Accumulator`] models it replays the exact ascending-`k` tap sequence
-//! per output; it is the arm every host without AVX2 runs, and the only
-//! one for `Saturating(32)`, whose clamp bounds no SIMD lane holds.
+//! blocks with the active LUT row hoisted. Exact and
+//! [`Accumulator::Wrapping`] sums take the exact path — a wrapping sum
+//! wraps once in the epilogue, as on the SIMD arms — and only
+//! [`Accumulator::Saturating`] replays the ascending-`k` tap sequence per
+//! output. It is the arm every host without AVX2 runs, and the only one
+//! for `Saturating(32)`, whose clamp bounds no SIMD lane holds.
 
 use super::{fold_taps, lut_dot, TileConfig, MR};
 use crate::accumulator::Accumulator;
@@ -74,24 +76,25 @@ pub(super) fn tile_span(
                         let fcol = &plan.channel_bytes(nb + co)[kb..kb + kw];
                         let slot = &mut acc[co * mw + r];
                         *slot = match accumulator {
-                            Accumulator::Exact => {
-                                *slot + lut_dot(prow, fcol, lut, signedness, accumulator)
+                            // A clamp cannot fold a pre-reduced partial;
+                            // replay the taps.
+                            Accumulator::Saturating(_) => {
+                                fold_taps(*slot, prow, fcol, lut, signedness, accumulator)
                             }
-                            // Order-sensitive models cannot fold a
-                            // pre-reduced partial; replay the taps.
-                            _ => fold_taps(*slot, prow, fcol, lut, signedness, accumulator),
+                            _ => *slot + lut_dot(prow, fcol, lut, signedness, Accumulator::Exact),
                         };
                     }
                 }
             }
-            // Epilogue: Eq. 4 correction + dequantization under the
-            // owning segment's constants, written to the
-            // channel-contiguous output tile.
+            // Epilogue: the one wrap of a wrapping model, then Eq. 4
+            // correction + dequantization under the owning segment's
+            // constants, written to the channel-contiguous output tile.
             for (co, acc_col) in acc[..nw * mw].chunks(mw).enumerate() {
                 let c = nb + co;
                 for (i, &a) in acc_col.iter().enumerate() {
                     let r = r0 + mb + i;
                     let sp = patch_sums[r];
+                    let a = accumulator.wrap_sum(a);
                     out_span[(mb + i) * c_out + c] = epi.dequantize(row_seg[r] as usize, c, a, sp);
                 }
             }
@@ -101,7 +104,8 @@ pub(super) fn tile_span(
 
 /// The register micro-tile: fold one `kw`-tap filter column into `MR`
 /// accumulators at once, all held in registers, with each tap's 512-byte
-/// LUT row hoisted out of the `MR` sweep.
+/// LUT row hoisted out of the `MR` sweep. Only a saturating model folds
+/// per tap; every other sum is exact here.
 #[inline]
 fn micro_mr<D: Fn(u16) -> i64 + Copy>(
     acc_mr: &mut [i64],
@@ -114,11 +118,11 @@ fn micro_mr<D: Fn(u16) -> i64 + Copy>(
     let mut a = [0i64; MR];
     a.copy_from_slice(&acc_mr[..MR]);
     match accumulator {
-        Accumulator::Exact => {
+        Accumulator::Saturating(_) => {
             for (k, &fb) in fcol.iter().enumerate() {
                 let row = lut.row(fb);
                 for i in 0..MR {
-                    a[i] += decode(row[prows[i][k] as usize]);
+                    a[i] = accumulator.add(a[i], decode(row[prows[i][k] as usize]));
                 }
             }
         }
@@ -126,7 +130,7 @@ fn micro_mr<D: Fn(u16) -> i64 + Copy>(
             for (k, &fb) in fcol.iter().enumerate() {
                 let row = lut.row(fb);
                 for i in 0..MR {
-                    a[i] = accumulator.add(a[i], decode(row[prows[i][k] as usize]));
+                    a[i] += decode(row[prows[i][k] as usize]);
                 }
             }
         }

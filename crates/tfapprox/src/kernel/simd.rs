@@ -1,21 +1,26 @@
-//! The AVX2 LUT-GEMM arm, `avx2-gather`.
+//! The SIMD LUT-GEMM arms, `avx2-gather` and `avx512-vbmi`.
 //!
 //! With the filter byte fixed, every product of a tap lives in one
 //! 512-byte LUT row — the same hoisting the scalar kernel exploits, and
 //! the CPU analogue of the paper's `tex1Dfetch<ushort>` reads from
-//! texture-cached table rows. [`gather_panel`] fetches 8 two-byte entries
-//! of that L1-resident row per `vpgatherdd`, keyed directly by the
-//! activation bytes, so it resolves 16 products per step where the
-//! scalar walker resolves one per load.
+//! texture-cached table rows. The arms differ only in how they fetch
+//! products from that row:
 //!
-//! It runs over a **K-major packed panel** (`pbuf[k*mp + i]` = patch
+//! - [`gather_panel`] fetches 8 two-byte entries of the L1-resident row
+//!   per `vpgatherdd`, keyed directly by the activation bytes.
+//! - [`vbmi_panel`] holds the row in registers — the register file in
+//!   the texture cache's part — as byte planes that `vpermi2b` indexes
+//!   128 entries at a time, 64 products per step.
+//!
+//! Both run over a **K-major packed panel** (`pbuf[k*mp + i]` = patch
 //! row `i`, tap `kb+k`) produced by [`pack_panel`], whose 16×16 SSE
 //! byte-transpose keeps packing ≈2% of kernel time.
 //!
 //! # Bit-identity
 //!
 //! Every 16-bit product is decoded exactly — sign- or zero-extended per
-//! table signedness. How the products are summed depends on the
+//! table signedness (the VBMI arm first rebuilds the product from its
+//! lo and hi bytes). How the products are summed depends on the
 //! accumulator model; each way lands on the golden per-row fold's i64,
 //! hence on the same dequantized f32 bits.
 //!
@@ -38,7 +43,7 @@
 //! gather's 4-byte read at row offset 255 lands on the trailing zero
 //! entry of [`MulLut::padded_entries`], never out of bounds.
 
-use super::check_seg_operands;
+use super::{check_seg_operands, KernelKind};
 use crate::accumulator::Accumulator;
 use crate::pool::WorkerPool;
 use crate::prepared::{PreparedFilter, SegmentEpilogue};
@@ -47,18 +52,19 @@ use axquant::QuantParams;
 use axtensor::{Matrix, SegmentTable};
 use std::arch::x86_64::*;
 
-/// The segmented LUT GEMM on the AVX2 arm, sharded over `pool` exactly
-/// like the scalar walker (contiguous row spans, partition-independent
-/// bits).
+/// The segmented LUT GEMM on the SIMD arm `kernel` (`Avx2Gather` or
+/// `Avx512Vbmi`), sharded over `pool` exactly like the scalar walker
+/// (contiguous row spans, partition-independent bits).
 ///
-/// Callers (the dispatch layer) must have verified AVX2 support and
-/// that `accumulator` is not `Saturating` wider than 31 bits.
+/// Callers (the dispatch layer) must have checked that `accumulator` is
+/// not `Saturating` wider than 31 bits.
 ///
 /// # Panics
 ///
-/// As [`super::lut_gemm_tiled_seg`].
+/// As [`super::lut_gemm_tiled_seg`], and if the CPU cannot run `kernel`.
 #[allow(clippy::too_many_arguments)]
 pub(super) fn lut_gemm_simd_seg(
+    kernel: KernelKind,
     patches: &Matrix<u8>,
     patch_sums: &[i64],
     plan: &PreparedFilter,
@@ -69,6 +75,11 @@ pub(super) fn lut_gemm_simd_seg(
     pool: &WorkerPool,
 ) -> Vec<f32> {
     check_seg_operands(patches, patch_sums, plan, seg_q, segments);
+    // The panels' target features are a memory-safety precondition.
+    assert!(
+        kernel.is_supported(),
+        "{kernel} is not supported by this CPU"
+    );
     let rows = patches.rows();
     let c_out = plan.c_out();
     let mut out = vec![0f32; rows * c_out];
@@ -88,6 +99,7 @@ pub(super) fn lut_gemm_simd_seg(
         let r0 = t * rows_per;
         jobs.push(Box::new(move || {
             simd_span(
+                kernel == KernelKind::Avx512Vbmi,
                 r0,
                 span,
                 patches,
@@ -108,12 +120,14 @@ pub(super) fn lut_gemm_simd_seg(
 /// Run the blocked SIMD panels over output rows `r0 .. r0 + span/c_out`.
 ///
 /// Blocking: `mb_step` output rows at a time (acc64 tile ≈ 2 MB max),
-/// rounded-up working width `mp` a multiple of 32 so the gathers sweep
-/// whole vectors; the tap dimension in `kc ≤ 4096` panels so the packed
-/// panel stays ≈1 MB and the per-channel i32 accumulator cannot wrap.
-/// A saturating model instead carries its clamped lanes across panels.
+/// rounded-up working width `mp` a multiple of the arm's step (32 lanes
+/// for gather, 64 for VBMI) so the panels sweep whole vectors; the tap
+/// dimension in `kc ≤ 4096` panels so the packed panel stays ≈1 MB and
+/// the per-channel i32 accumulator cannot wrap. A saturating model
+/// instead carries its clamped lanes across panels.
 #[allow(clippy::too_many_arguments)]
 fn simd_span(
+    vbmi: bool,
     r0: usize,
     out_span: &mut [f32],
     patches: &Matrix<u8>,
@@ -136,13 +150,21 @@ fn simd_span(
         Accumulator::Saturating(bits) => Some((-(1i32 << (bits - 1)), (1i32 << (bits - 1)) - 1)),
         _ => None,
     };
-    let mb_step = ((2usize << 20) / (8 * c_out)).clamp(32, 4096) & !31;
+    let lanes = if vbmi { 64 } else { 32 };
+    let panel = match (signedness, clamp.is_some()) {
+        (Signedness::Signed, false) => panel_fn::<true, false>(vbmi),
+        (Signedness::Unsigned, false) => panel_fn::<false, false>(vbmi),
+        (Signedness::Signed, true) => panel_fn::<true, true>(vbmi),
+        (Signedness::Unsigned, true) => panel_fn::<false, true>(vbmi),
+    };
+    let (lo, hi) = clamp.unwrap_or_default();
+    let mb_step = ((2usize << 20) / (8 * c_out)).clamp(lanes, 4096) & !(lanes - 1);
     let mut pbuf: Vec<u8> = Vec::new();
     let mut acc32: Vec<i32> = Vec::new();
     let mut acc64: Vec<i64> = Vec::new();
     for mb in (0..span_rows).step_by(mb_step) {
         let mh = mb_step.min(span_rows - mb);
-        let mp = mh.next_multiple_of(32);
+        let mp = mh.next_multiple_of(lanes);
         let kc = k_total.min(4096).min(((1usize << 20) / mp).max(64)).max(1);
         if acc32.len() < mp {
             acc32.resize(mp, 0);
@@ -167,22 +189,14 @@ fn simd_span(
                     }
                     None => acc32[..mp].fill(0),
                 }
-                let (lo, hi) = clamp.unwrap_or_default();
-                // SAFETY: AVX2 support is a precondition of this arm
-                // (checked by the dispatch layer); `pbuf` holds `kw*mp`
-                // packed bytes with `mp % 32 == 0`, `acc32` has `mp`
-                // lanes (each in `lo..=hi`, `bits ≤ 31`, when clamping),
-                // and `table` is the gather-padded LUT (row reads stay
-                // in bounds — module docs).
-                unsafe {
-                    let gather = match (signedness, clamp.is_some()) {
-                        (Signedness::Signed, false) => gather_panel::<true, false>,
-                        (Signedness::Unsigned, false) => gather_panel::<false, false>,
-                        (Signedness::Signed, true) => gather_panel::<true, true>,
-                        (Signedness::Unsigned, true) => gather_panel::<false, true>,
-                    };
-                    gather(&pbuf, fcol, table, &mut acc32, mp, lo, hi);
-                }
+                // SAFETY: `lut_gemm_simd_seg` asserted that the CPU runs
+                // this arm (AVX2, plus AVX-512 F/BW/VBMI for `vbmi`);
+                // `pbuf` holds `kw*mp` packed bytes with `mp` a multiple
+                // of the arm's `lanes`, `acc32` has `mp` lanes (each in
+                // `lo..=hi`, `bits ≤ 31`, when clamping), and `table` is
+                // the gather-padded LUT (row reads stay in bounds —
+                // module docs).
+                unsafe { panel(&pbuf, fcol, table, &mut acc32, mp, lo, hi) };
                 for (a, &v) in a64.iter_mut().zip(&acc32[..mh]) {
                     *a = if clamp.is_some() {
                         i64::from(v)
@@ -363,6 +377,118 @@ unsafe fn gather_panel<const SIGNED: bool, const CLAMP: bool>(
     }
 }
 
+/// One tap-outer panel sweep: `(pbuf, fcol, padded, acc32, mp, lo, hi)`,
+/// with the contract of [`gather_panel`] / [`vbmi_panel`].
+type PanelFn = unsafe fn(&[u8], &[u8], &[u16], &mut [i32], usize, i32, i32);
+
+/// The panel function of the gather (`vbmi == false`) or VBMI arm.
+fn panel_fn<const SIGNED: bool, const CLAMP: bool>(vbmi: bool) -> PanelFn {
+    if vbmi {
+        vbmi_panel::<SIGNED, CLAMP>
+    } else {
+        gather_panel::<SIGNED, CLAMP>
+    }
+}
+
+/// `vpermt2b` indices. `[0]`/`[1]` pick the lo/hi byte of the 64 `u16`
+/// entries in a pair of zmm. `[2]`/`[3]` rebuild the products of lanes
+/// 0–31 / 32–63 from a lo-byte (indices 0..64) and a hi-byte (64..128)
+/// vector: dword `j` of the half holds its lane `j` in the low word and
+/// lane `16+j` in the high word, so shifts alone decode both.
+const SHUFFLES: [[u8; 64]; 4] = {
+    let mut idx = [[0u8; 64]; 4];
+    let mut i = 0;
+    while i < 64 {
+        idx[0][i] = 2 * i as u8;
+        idx[1][i] = 2 * i as u8 + 1;
+        let (j, b) = (i / 4, i % 4);
+        let src = 64 * (b % 2) + j + 16 * (b / 2);
+        idx[2][i] = src as u8;
+        idx[3][i] = (src + 32) as u8;
+        i += 1;
+    }
+    idx
+};
+
+/// The `vpermi2b` arm: [`gather_panel`]'s sweep with the tap's LUT row
+/// held in registers as lo-byte planes `pl` and hi-byte planes `ph`
+/// (entries `64q .. 64q+64` in plane `q`). Per 64 lanes the low 7 bits of
+/// each activation byte index planes 0–1 and 2–3 and its top bit picks
+/// between them; the two bytes then rebuild the product.
+///
+/// # Safety
+///
+/// Requires AVX-512 F, BW and VBMI. `pbuf` must hold `fcol.len()*mp`
+/// bytes, `mp % 64 == 0`, `acc32.len() >= mp`, `CLAMP` requires `lo ≤
+/// hi` with every lane of `acc32` in `lo..=hi` and `|lo|, |hi| ≤ 2³⁰`,
+/// and `padded` must hold every 256-entry row (`LUT_ENTRIES` entries).
+#[target_feature(enable = "avx512f,avx512bw,avx512vbmi")]
+unsafe fn vbmi_panel<const SIGNED: bool, const CLAMP: bool>(
+    pbuf: &[u8],
+    fcol: &[u8],
+    padded: &[u16],
+    acc32: &mut [i32],
+    mp: usize,
+    lo: i32,
+    hi: i32,
+) {
+    let plane_lo = _mm512_loadu_si512(SHUFFLES[0].as_ptr().cast());
+    let plane_hi = _mm512_loadu_si512(SHUFFLES[1].as_ptr().cast());
+    let words = [
+        _mm512_loadu_si512(SHUFFLES[2].as_ptr().cast()),
+        _mm512_loadu_si512(SHUFFLES[3].as_ptr().cast()),
+    ];
+    let (lo, hi) = (_mm512_set1_epi32(lo), _mm512_set1_epi32(hi));
+    let low16 = _mm512_set1_epi32(0xFFFF);
+    for (k, &fb) in fcol.iter().enumerate() {
+        let row = padded.as_ptr().add((fb as usize) << 8) as *const __m512i;
+        let mut pl = [_mm512_setzero_si512(); 4];
+        let mut ph = [_mm512_setzero_si512(); 4];
+        for q in 0..4 {
+            let a = _mm512_loadu_si512(row.add(2 * q));
+            let b = _mm512_loadu_si512(row.add(2 * q + 1));
+            pl[q] = _mm512_permutex2var_epi8(a, plane_lo, b);
+            ph[q] = _mm512_permutex2var_epi8(a, plane_hi, b);
+        }
+        let col = pbuf.as_ptr().add(k * mp);
+        let mut mb = 0;
+        while mb < mp {
+            let x = _mm512_loadu_si512(col.add(mb).cast());
+            let upper = _mm512_movepi8_mask(x);
+            let lo_b = _mm512_mask_blend_epi8(
+                upper,
+                _mm512_permutex2var_epi8(pl[0], x, pl[1]),
+                _mm512_permutex2var_epi8(pl[2], x, pl[3]),
+            );
+            let hi_b = _mm512_mask_blend_epi8(
+                upper,
+                _mm512_permutex2var_epi8(ph[0], x, ph[1]),
+                _mm512_permutex2var_epi8(ph[2], x, ph[3]),
+            );
+            for (h, &widx) in words.iter().enumerate() {
+                let w = _mm512_permutex2var_epi8(lo_b, widx, hi_b);
+                let (v0, v1) = if SIGNED {
+                    (
+                        _mm512_srai_epi32::<16>(_mm512_slli_epi32::<16>(w)),
+                        _mm512_srai_epi32::<16>(w),
+                    )
+                } else {
+                    (_mm512_and_si512(w, low16), _mm512_srli_epi32::<16>(w))
+                };
+                let dst = acc32.as_mut_ptr().add(mb + 32 * h);
+                for (off, v) in [(0, v0), (16, v1)] {
+                    let mut s = _mm512_add_epi32(_mm512_loadu_si512(dst.add(off).cast()), v);
+                    if CLAMP {
+                        s = _mm512_min_epi32(_mm512_max_epi32(s, lo), hi);
+                    }
+                    _mm512_storeu_si512(dst.add(off).cast(), s);
+                }
+            }
+            mb += 64;
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::super::{lut_gemm_reference_seg, tests::setup_operands};
@@ -372,6 +498,14 @@ mod tests {
 
     fn avx2() -> bool {
         std::arch::is_x86_feature_detected!("avx2")
+    }
+
+    /// Every SIMD arm this host runs.
+    fn simd_arms() -> Vec<KernelKind> {
+        super::super::available_kernels()
+            .into_iter()
+            .filter(|&k| k != KernelKind::ScalarTiled)
+            .collect()
     }
 
     #[test]
@@ -396,8 +530,9 @@ mod tests {
         }
     }
 
-    /// The SIMD arm's output against the golden model, at 1 and 3 threads.
+    /// A SIMD arm's output against the golden model, at 1 and 3 threads.
     fn assert_matches_reference(
+        kernel: KernelKind,
         patches: &Matrix<u8>,
         sums: &[i64],
         plan: &PreparedFilter,
@@ -412,6 +547,7 @@ mod tests {
         for threads in [1, 3] {
             let pool = WorkerPool::new(threads);
             let got = lut_gemm_simd_seg(
+                kernel,
                 patches,
                 sums,
                 plan,
@@ -424,7 +560,7 @@ mod tests {
             assert_eq!(
                 got,
                 reference,
-                "{:?} {accumulator:?} x{threads}",
+                "{kernel} {:?} {accumulator:?} x{threads}",
                 lut.signedness()
             );
         }
@@ -433,28 +569,33 @@ mod tests {
 
     #[test]
     fn simd_arms_match_reference_both_signednesses() {
-        if !avx2() {
-            return;
-        }
-        // K = 45 is not a multiple of any vector width in play.
+        // K = 45 is not a multiple of any vector width in play; 53 rows
+        // leave a ragged lane tail on every arm.
         let fs = FilterShape::new(3, 3, 5, 7);
-        for signedness in [Signedness::Signed, Signedness::Unsigned] {
-            let (patches, sums, plan, input_q, lut) = setup_operands(53, fs, 11, signedness);
-            for accumulator in [
-                Accumulator::Exact,
-                Accumulator::Saturating(12),
-                Accumulator::Wrapping(10),
-            ] {
-                assert_matches_reference(&patches, &sums, &plan, input_q, &lut, accumulator);
+        for kernel in simd_arms() {
+            for signedness in [Signedness::Signed, Signedness::Unsigned] {
+                let (patches, sums, plan, input_q, lut) = setup_operands(53, fs, 11, signedness);
+                for accumulator in [
+                    Accumulator::Exact,
+                    Accumulator::Saturating(12),
+                    Accumulator::Wrapping(10),
+                ] {
+                    assert_matches_reference(
+                        kernel,
+                        &patches,
+                        &sums,
+                        &plan,
+                        input_q,
+                        &lut,
+                        accumulator,
+                    );
+                }
             }
         }
     }
 
     #[test]
     fn saturated_lanes_carry_across_k_panels() {
-        if !avx2() {
-            return;
-        }
         // K = 4141 splits into a 4096-tap panel and a 45-tap one. Every
         // product leans one way, so Saturating(12) pins each lane at a
         // bound inside the first panel, while the second panel's 45 taps
@@ -462,20 +603,36 @@ mod tests {
         // the panel edge cannot match.
         let fs = FilterShape::new(1, 1, 4141, 3);
         let accumulator = Accumulator::Saturating(12);
-        for signedness in [Signedness::Signed, Signedness::Unsigned] {
-            let (patches, sums, plan, input_q, _) = setup_operands(40, fs, 7, signedness);
-            let lut = match signedness {
-                Signedness::Signed => MulLut::from_fn(signedness, |a, b| -((a * b).abs() >> 9)),
-                Signedness::Unsigned => MulLut::from_fn(signedness, |a, b| (a * b) >> 10),
-            };
-            let saturated =
-                assert_matches_reference(&patches, &sums, &plan, input_q, &lut, accumulator);
-            let exact =
-                assert_matches_reference(&patches, &sums, &plan, input_q, &lut, Accumulator::Exact);
-            assert!(
-                saturated.iter().zip(&exact).all(|(s, e)| s != e),
-                "{signedness:?}: every output must saturate"
-            );
+        for kernel in simd_arms() {
+            for signedness in [Signedness::Signed, Signedness::Unsigned] {
+                let (patches, sums, plan, input_q, _) = setup_operands(40, fs, 7, signedness);
+                let lut = match signedness {
+                    Signedness::Signed => MulLut::from_fn(signedness, |a, b| -((a * b).abs() >> 9)),
+                    Signedness::Unsigned => MulLut::from_fn(signedness, |a, b| (a * b) >> 10),
+                };
+                let saturated = assert_matches_reference(
+                    kernel,
+                    &patches,
+                    &sums,
+                    &plan,
+                    input_q,
+                    &lut,
+                    accumulator,
+                );
+                let exact = assert_matches_reference(
+                    kernel,
+                    &patches,
+                    &sums,
+                    &plan,
+                    input_q,
+                    &lut,
+                    Accumulator::Exact,
+                );
+                assert!(
+                    saturated.iter().zip(&exact).all(|(s, e)| s != e),
+                    "{kernel} {signedness:?}: every output must saturate"
+                );
+            }
         }
     }
 }

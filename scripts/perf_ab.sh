@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # A/B the repository benchmark (perfbench) between a base revision and the
 # working tree: N alternating pairs (ABBA) of one workload, one seed, then
-# each end-to-end metric's median and quartiles per side, the change's win
-# count, and a verdict against the bounds in BENCHMARK.json.
+# each end-to-end metric's median and quartiles per side, the mean paired
+# log-ratio ln(change/base) with its leave-one-pair-out jackknife standard
+# error (Maiboroda & Sugakova, arXiv 1912.07948), the change's win count,
+# and a verdict against the bounds in BENCHMARK.json.
 #
 # Usage: scripts/perf_ab.sh [-w WORKLOAD] [-n PAIRS] [-s SEED] [-t SECONDS]
 #                           [-b BASE_REV] [-d WORKDIR]
@@ -104,13 +106,26 @@ EOF
 done
 
 python3 - "$runs" "$bench_json" "$workload" "$seed" "$seconds" "$base_sha" <<'EOF'
-import json, statistics, sys
+import json, math, statistics, sys
 
 runs_path, bench_path, workload, seed, seconds, base_sha = sys.argv[1:]
 runs = [json.loads(l) for l in open(runs_path)]
 bench = json.load(open(bench_path))
 pairs = sorted({r["pair"] for r in runs})
 by = {(r["side"], r["pair"]): r for r in runs}
+
+def log_ratio_jackknife(a, b):
+    """Mean of ln(b_i/a_i) over pairs and its leave-one-pair-out jackknife
+    standard error; None when a value is not positive."""
+    if any(x <= 0 for x in a + b):
+        return None
+    r = [math.log(y / x) for x, y in zip(a, b)]
+    n = len(r)
+    if n < 2:
+        return r[0], float("nan")
+    loo = [(sum(r) - ri) / (n - 1) for ri in r]
+    m = sum(loo) / n
+    return sum(r) / n, math.sqrt((n - 1) / n * sum((x - m) ** 2 for x in loo))
 
 def quartiles(xs):
     if len(xs) < 2:
@@ -127,7 +142,8 @@ for r in runs:
 
 bad = False
 print()
-print(f"{'metric':>16} {'base q1/med/q3':>32} {'change q1/med/q3':>32} {'ratio':>7} {'wins':>6}  verdict")
+print(f"{'metric':>16} {'base q1/med/q3':>32} {'change q1/med/q3':>32} {'ratio':>7} "
+      f"{'ln ratio ± jk se':>18} {'wins':>6}  verdict")
 for m in bench["end_to_end"]:
     name, lower, bound = m["name"], m["better"] == "lower", m["bound"]
     val = lambda side, p: by[(side, p)]["result"]["metrics"][name]["value"]
@@ -144,7 +160,10 @@ for m in bench["end_to_end"]:
     else:
         verdict = f"no resolvable gain (bound {bound:.0%})"
     fmt = lambda q: "/".join(f"{v:.4g}" for v in q)
-    print(f"{name:>16} {fmt(qa):>32} {fmt(qb):>32} {ratio:7.3f} {wins:>3}/{len(pairs):<2}  {verdict}")
+    jk = log_ratio_jackknife(a, b)
+    jk = f"{jk[0]:+.4f} ± {jk[1]:.4f}" if jk else "n/a"
+    print(f"{name:>16} {fmt(qa):>32} {fmt(qb):>32} {ratio:7.3f} {jk:>18} "
+          f"{wins:>3}/{len(pairs):<2}  {verdict}")
 
 share = lambda side: sum(by[(side, p)]["result"]["failed"] for p in pairs) / max(
     1, sum(by[(side, p)]["result"]["attempted"] for p in pairs))
