@@ -16,8 +16,9 @@ const N_SWEEPS: usize = N_ENTRIES / 64;
 ///
 /// The compiler shards the 2¹⁶-entry sweep into independent jobs; how they
 /// run is the caller's business. [`SerialExecutor`] runs them inline;
-/// `tfapprox` implements this trait for its persistent `WorkerPool`, so
-/// compilation rides the same threads that serve inference.
+/// `tfapprox::compile::PoolExecutor` implements it over the persistent
+/// `WorkerPool`, so compilation rides the same threads that serve
+/// inference.
 pub trait Executor {
     /// Run every job to completion before returning.
     fn run_jobs<'env>(&self, jobs: Vec<Box<dyn FnOnce() + Send + 'env>>);

@@ -9,7 +9,7 @@
 //!    textual format in [`axcircuit::text`].
 //! 2. **Exhaustive evaluation**: all 2¹⁶ operand pairs through the
 //!    bit-parallel evaluator (64 pairs per sweep, 1024 sweeps), sharded
-//!    over an [`Executor`] — serial by default, `tfapprox`'s `WorkerPool`
+//!    over an [`Executor`] — serial by default, the shared `WorkerPool`
 //!    in the full stack.
 //! 3. **Verification**: the sharded table is diffed entry-for-entry
 //!    against the single-threaded golden sweep, and optionally checked

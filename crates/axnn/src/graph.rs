@@ -1,9 +1,9 @@
 //! The computation graph and the Fig. 1 rewrite pass.
 
-use crate::layer::Layer;
+use crate::layer::{ExecCtx, Layer};
 use crate::layers::{Conv2D, MaxOf, MinOf};
 use crate::NnError;
-use axtensor::{SegmentTable, Shape4, Tensor};
+use axtensor::{Shape4, Tensor};
 use std::borrow::Cow;
 use std::sync::Arc;
 
@@ -177,57 +177,54 @@ impl Graph {
         self.nodes.get(id.0).map(|n| n.name.as_str())
     }
 
-    /// Execute the graph on one input batch.
+    /// Execute the graph on one input batch, serially.
     ///
     /// # Errors
     ///
     /// - [`NnError::NoOutput`] if no output node was declared.
     /// - Propagates layer execution errors.
     pub fn forward(&self, input: &Tensor<f32>) -> Result<Tensor<f32>, NnError> {
-        self.execute(input, |layer, ins| layer.forward(ins))
+        self.run(input, &ExecCtx::default())
     }
 
-    /// Execute the graph on one *fused* input batch whose batch axis is
-    /// partitioned into per-request `segments`.
+    /// Execute the graph under `ctx`: every operator runs through
+    /// [`Layer::forward_ctx`] on the calling thread, and may split its
+    /// work across `ctx.pool`.
     ///
-    /// Identical to [`Graph::forward`] except that every node runs
-    /// through [`Layer::forward_segmented`], so segment-aware operators
-    /// (the `Min`/`Max` observers, quantizing layers) treat each segment
-    /// exactly as a solo [`Graph::forward`] of that segment would —
-    /// which makes the fused output bit-identical to the concatenation
-    /// of per-segment solo outputs.
+    /// With segments in the context the batch is a *fused* one, and
+    /// segment-aware operators (the `Min`/`Max` observers, quantizing
+    /// layers) treat each segment exactly as a solo run of that segment
+    /// would — which makes the fused output bit-identical to the
+    /// concatenation of per-segment solo outputs.
+    ///
+    /// Each node's output is dropped once its last consumer has run; only
+    /// the declared output outlives the sweep.
     ///
     /// # Errors
     ///
     /// - [`NnError::NoOutput`] if no output node was declared.
-    /// - [`NnError::SegmentMismatch`] if the table's total differs from
+    /// - [`NnError::SegmentMismatch`] if the segments' total differs from
     ///   the input's batch count.
     /// - Propagates layer execution errors.
-    pub fn forward_segmented(
-        &self,
-        input: &Tensor<f32>,
-        segments: &SegmentTable,
-    ) -> Result<Tensor<f32>, NnError> {
-        if self.output.is_none() {
-            return Err(NnError::NoOutput);
-        }
-        if segments.total() != input.shape().n {
-            return Err(NnError::SegmentMismatch {
-                images: input.shape().n,
-                covered: segments.total(),
-            });
-        }
-        self.execute(input, |layer, ins| layer.forward_segmented(ins, segments))
-    }
-
-    /// Run every node in topological order, each operator through `run`.
-    /// The `Input` node borrows `input`; only operator outputs are owned.
-    fn execute(
-        &self,
-        input: &Tensor<f32>,
-        mut run: impl FnMut(&dyn Layer, &[&Tensor<f32>]) -> Result<Tensor<f32>, NnError>,
-    ) -> Result<Tensor<f32>, NnError> {
+    pub fn run(&self, input: &Tensor<f32>, ctx: &ExecCtx<'_>) -> Result<Tensor<f32>, NnError> {
         let out = self.output.ok_or(NnError::NoOutput)?;
+        if let Some(segments) = ctx.segments {
+            if segments.total() != input.shape().n {
+                return Err(NnError::SegmentMismatch {
+                    images: input.shape().n,
+                    covered: segments.total(),
+                });
+            }
+        }
+        // The index of each node's last consumer; the output is kept.
+        let mut last_use = vec![0usize; self.nodes.len()];
+        for (i, node) in self.nodes.iter().enumerate() {
+            for id in &node.inputs {
+                last_use[id.0] = i;
+            }
+        }
+        last_use[out.0] = usize::MAX;
+        // The `Input` node borrows `input`; only operator outputs are owned.
         let mut values: Vec<Option<Cow<'_, Tensor<f32>>>> = vec![None; self.nodes.len()];
         for (i, node) in self.nodes.iter().enumerate() {
             let value = match &node.kind {
@@ -238,10 +235,15 @@ impl Graph {
                         .iter()
                         .map(|id| values[id.0].as_deref().expect("topological order"))
                         .collect();
-                    Cow::Owned(run(layer.as_ref(), &ins)?)
+                    Cow::Owned(layer.forward_ctx(&ins, ctx)?)
                 }
             };
             values[i] = Some(value);
+            for id in &node.inputs {
+                if last_use[id.0] == i {
+                    values[id.0] = None;
+                }
+            }
         }
         Ok(values[out.0].take().expect("executed above").into_owned())
     }
@@ -409,6 +411,30 @@ mod tests {
         let input = Tensor::from_vec(Shape4::new(1, 1, 2, 1), vec![-1.0, 2.0]).unwrap();
         let out = g.forward(&input).unwrap();
         assert_eq!(out.as_slice(), &[-1.0, 4.0]);
+    }
+
+    #[test]
+    fn output_consumed_by_a_later_node_is_still_returned() {
+        let mut g = Graph::new();
+        let x = g.input();
+        let r = g.add("relu", Arc::new(ReLU::new()), &[x]).unwrap();
+        let a = g.add("add", Arc::new(Add::new()), &[r, x]).unwrap();
+        g.add("tail", Arc::new(ReLU::new()), &[a]).unwrap();
+        g.set_output(r).unwrap();
+        let input = Tensor::from_vec(Shape4::new(1, 1, 2, 1), vec![-1.0, 2.0]).unwrap();
+        assert_eq!(g.forward(&input).unwrap().as_slice(), &[0.0, 2.0]);
+    }
+
+    #[test]
+    fn node_feeding_one_consumer_twice_is_freed_after_it() {
+        let mut g = Graph::new();
+        let x = g.input();
+        let r = g.add("relu", Arc::new(ReLU::new()), &[x]).unwrap();
+        let a = g.add("double", Arc::new(Add::new()), &[r, r]).unwrap();
+        let b = g.add("again", Arc::new(Add::new()), &[a, a]).unwrap();
+        g.set_output(b).unwrap();
+        let input = Tensor::from_vec(Shape4::new(1, 1, 2, 1), vec![-1.0, 2.0]).unwrap();
+        assert_eq!(g.forward(&input).unwrap().as_slice(), &[0.0, 8.0]);
     }
 
     #[test]

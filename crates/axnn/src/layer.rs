@@ -2,8 +2,20 @@
 
 use crate::layers::Conv2D;
 use crate::NnError;
-use axtensor::{SegmentTable, Shape4, Tensor};
+use axtensor::{SegmentTable, Shape4, Tensor, WorkerPool};
 use std::fmt;
+
+/// What one graph execution lends each operator: the worker pool to
+/// split its work on, and the request segments of a fused batch.
+///
+/// The default is a serial, unsegmented run.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct ExecCtx<'a> {
+    /// Pool the operator may split its work across (`None`: inline).
+    pub pool: Option<&'a WorkerPool>,
+    /// Per-request spans of a fused batch (`None`: one request).
+    pub segments: Option<&'a SegmentTable>,
+}
 
 /// A neural-network operator.
 ///
@@ -58,6 +70,28 @@ pub trait Layer: fmt::Debug + Send + Sync {
     ) -> Result<Tensor<f32>, NnError> {
         let _ = segments;
         self.forward(inputs)
+    }
+
+    /// Execute the operator under an execution context — the entry point
+    /// the graph executor calls.
+    ///
+    /// The default runs [`Layer::forward_segmented`] when the context
+    /// carries segments and [`Layer::forward`] otherwise, on the calling
+    /// thread. Operators that split their work across `ctx.pool` override
+    /// it, and must produce the same bits at every pool size.
+    ///
+    /// # Errors
+    ///
+    /// As [`Layer::forward`].
+    fn forward_ctx(
+        &self,
+        inputs: &[&Tensor<f32>],
+        ctx: &ExecCtx<'_>,
+    ) -> Result<Tensor<f32>, NnError> {
+        match ctx.segments {
+            Some(segments) => self.forward_segmented(inputs, segments),
+            None => self.forward(inputs),
+        }
     }
 
     /// Multiply-accumulate operations performed for the given input

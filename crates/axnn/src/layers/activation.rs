@@ -1,8 +1,9 @@
 //! Element-wise activations.
 
-use crate::layer::{check_arity, Layer};
+use super::map_spans;
+use crate::layer::{check_arity, ExecCtx, Layer};
 use crate::NnError;
-use axtensor::{ops, Shape4, Tensor};
+use axtensor::{Shape4, Tensor};
 
 /// Rectified linear unit.
 #[derive(Debug, Clone, Copy, Default)]
@@ -27,8 +28,23 @@ impl Layer for ReLU {
     }
 
     fn forward(&self, inputs: &[&Tensor<f32>]) -> Result<Tensor<f32>, NnError> {
+        self.forward_ctx(inputs, &ExecCtx::default())
+    }
+
+    /// `max(v, 0)` per element, split into spans on `ctx.pool`.
+    fn forward_ctx(
+        &self,
+        inputs: &[&Tensor<f32>],
+        ctx: &ExecCtx<'_>,
+    ) -> Result<Tensor<f32>, NnError> {
         check_arity(self.op_name(), inputs, 1)?;
-        Ok(ops::relu(inputs[0]))
+        let x = inputs[0].as_slice();
+        let out = map_spans(ctx.pool, x.len(), 1, |span, out| {
+            for (o, &v) in out.iter_mut().zip(&x[span]) {
+                *o = v.max(0.0);
+            }
+        });
+        Ok(Tensor::from_vec(inputs[0].shape(), out)?)
     }
 }
 

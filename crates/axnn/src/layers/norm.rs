@@ -1,6 +1,7 @@
 //! Inference-time (folded) batch normalization.
 
-use crate::layer::{check_arity, Layer};
+use super::map_spans;
+use crate::layer::{check_arity, ExecCtx, Layer};
 use crate::NnError;
 use axtensor::{Shape4, Tensor};
 
@@ -62,14 +63,29 @@ impl Layer for BatchNorm {
     }
 
     fn forward(&self, inputs: &[&Tensor<f32>]) -> Result<Tensor<f32>, NnError> {
-        self.output_shape(&[inputs[0].shape()])?;
-        let c = self.channels();
-        let mut out = inputs[0].clone();
-        for (i, v) in out.as_mut_slice().iter_mut().enumerate() {
-            let ch = i % c;
-            *v = self.scale[ch] * *v + self.shift[ch];
-        }
-        Ok(out)
+        self.forward_ctx(inputs, &ExecCtx::default())
+    }
+
+    /// The per-channel affine, pixel by pixel, split into spans of whole
+    /// pixels on `ctx.pool`.
+    fn forward_ctx(
+        &self,
+        inputs: &[&Tensor<f32>],
+        ctx: &ExecCtx<'_>,
+    ) -> Result<Tensor<f32>, NnError> {
+        let shape = self.output_shape(&inputs.iter().map(|t| t.shape()).collect::<Vec<_>>())?;
+        let c = self.channels().max(1);
+        let x = inputs[0].as_slice();
+        let out = map_spans(ctx.pool, x.len(), c, |span, out| {
+            for (o, x) in out.chunks_exact_mut(c).zip(x[span].chunks_exact(c)) {
+                for (((o, &v), &scale), &shift) in
+                    o.iter_mut().zip(x).zip(&self.scale).zip(&self.shift)
+                {
+                    *o = scale * v + shift;
+                }
+            }
+        });
+        Ok(Tensor::from_vec(shape, out)?)
     }
 }
 

@@ -1,23 +1,26 @@
 //! Residual addition and the min/max observer operators of Fig. 1.
 
-use crate::layer::{check_arity, Layer};
+use super::map_spans;
+use crate::layer::{check_arity, ExecCtx, Layer};
 use crate::NnError;
-use axtensor::{ops, SegmentTable, Shape4, Tensor};
+use axtensor::{ops, SegmentTable, Shape4, Tensor, WorkerPool};
 
-/// Reduce each segment of a fused batch with `pick` over the solo
-/// `(min, max)` semantics of [`ops::min_max_slice`], producing one
-/// scalar per segment as an `[S, 1, 1, 1]` tensor.
+/// Reduce each segment of the batch (the whole batch when `ctx` carries
+/// no segments) with `bound` — [`ops::min_of`] or [`ops::max_of`] —
+/// producing one scalar per segment as an `[S, 1, 1, 1]` tensor.
 ///
 /// An NHWC batch is contiguous per image, so a segment's elements are
 /// one contiguous slice — each segment sees exactly the values (and the
 /// empty-tensor / NaN semantics) a solo observer over that request
 /// would see, which is the bit-identity anchor of batch fusion.
-fn observe_segments(
+fn observe(
     input: &Tensor<f32>,
-    segments: &SegmentTable,
-    pick: impl Fn((f32, f32)) -> f32,
+    ctx: &ExecCtx<'_>,
+    bound: fn(&[f32], Option<&WorkerPool>) -> f32,
 ) -> Result<Tensor<f32>, NnError> {
     let shape = input.shape();
+    let whole = SegmentTable::single(shape.n);
+    let segments = ctx.segments.unwrap_or(&whole);
     if segments.total() != shape.n {
         return Err(NnError::SegmentMismatch {
             images: shape.n,
@@ -28,7 +31,7 @@ fn observe_segments(
     let data = input.as_slice();
     let values: Vec<f32> = segments
         .iter()
-        .map(|(start, end)| pick(ops::min_max_slice(&data[start * per..end * per])))
+        .map(|(start, end)| bound(&data[start * per..end * per], ctx.pool))
         .collect();
     Ok(Tensor::from_vec(
         Shape4::new(segments.len(), 1, 1, 1),
@@ -69,68 +72,54 @@ impl Layer for Add {
     }
 
     fn forward(&self, inputs: &[&Tensor<f32>]) -> Result<Tensor<f32>, NnError> {
-        check_arity(self.op_name(), inputs, 2)?;
-        Ok(ops::add(inputs[0], inputs[1])?)
-    }
-}
-
-/// The `Min` observer the graph transform inserts before each approximate
-/// layer: reduces its input to a `[1,1,1,1]` scalar tensor, evaluated once
-/// per batch.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct MinOf;
-
-impl MinOf {
-    /// Create a min observer.
-    #[must_use]
-    pub fn new() -> Self {
-        MinOf
-    }
-}
-
-impl Layer for MinOf {
-    fn op_name(&self) -> &str {
-        "Min"
+        self.forward_ctx(inputs, &ExecCtx::default())
     }
 
-    fn output_shape(&self, inputs: &[Shape4]) -> Result<Shape4, NnError> {
-        check_arity(self.op_name(), inputs, 1)?;
-        Ok(Shape4::new(1, 1, 1, 1))
-    }
-
-    fn forward(&self, inputs: &[&Tensor<f32>]) -> Result<Tensor<f32>, NnError> {
-        check_arity(self.op_name(), inputs, 1)?;
-        let (lo, _) = ops::min_max(inputs[0]);
-        Ok(Tensor::from_vec(Shape4::new(1, 1, 1, 1), vec![lo])?)
-    }
-
-    /// One minimum per segment, as an `[S, 1, 1, 1]` tensor — each
-    /// segment observed exactly as a solo batch would be.
-    fn forward_segmented(
+    /// The element-wise sum, split into spans on `ctx.pool`.
+    fn forward_ctx(
         &self,
         inputs: &[&Tensor<f32>],
-        segments: &SegmentTable,
+        ctx: &ExecCtx<'_>,
     ) -> Result<Tensor<f32>, NnError> {
-        check_arity(self.op_name(), inputs, 1)?;
-        observe_segments(inputs[0], segments, |(lo, _)| lo)
+        let shape = self.output_shape(&inputs.iter().map(|t| t.shape()).collect::<Vec<_>>())?;
+        let (a, b) = (inputs[0].as_slice(), inputs[1].as_slice());
+        let out = map_spans(ctx.pool, a.len(), 1, |span, out| {
+            for ((o, &x), &y) in out.iter_mut().zip(&a[span.clone()]).zip(&b[span]) {
+                *o = x + y;
+            }
+        });
+        Ok(Tensor::from_vec(shape, out)?)
     }
 }
+
+/// A range observer of Fig. 1: [`MinOf`] (`MAX = false`) or [`MaxOf`]
+/// (`MAX = true`). The graph transform inserts one of each before every
+/// approximate layer; each reduces its input to a `[1, 1, 1, 1]` scalar
+/// tensor (one per segment of a fused batch), evaluated once per batch.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Observer<const MAX: bool>;
+
+/// The `Min` observer.
+pub type MinOf = Observer<false>;
 
 /// The `Max` observer, the counterpart of [`MinOf`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct MaxOf;
+pub type MaxOf = Observer<true>;
 
-impl MaxOf {
-    /// Create a max observer.
+impl<const MAX: bool> Observer<MAX> {
+    /// Create the observer.
     #[must_use]
     pub fn new() -> Self {
-        MaxOf
+        Observer
     }
 }
 
-impl Layer for MaxOf {
+impl<const MAX: bool> Layer for Observer<MAX> {
     fn op_name(&self) -> &str {
-        "Max"
+        if MAX {
+            "Max"
+        } else {
+            "Min"
+        }
     }
 
     fn output_shape(&self, inputs: &[Shape4]) -> Result<Shape4, NnError> {
@@ -139,19 +128,31 @@ impl Layer for MaxOf {
     }
 
     fn forward(&self, inputs: &[&Tensor<f32>]) -> Result<Tensor<f32>, NnError> {
-        check_arity(self.op_name(), inputs, 1)?;
-        let (_, hi) = ops::min_max(inputs[0]);
-        Ok(Tensor::from_vec(Shape4::new(1, 1, 1, 1), vec![hi])?)
+        self.forward_ctx(inputs, &ExecCtx::default())
     }
 
-    /// One maximum per segment, as an `[S, 1, 1, 1]` tensor.
     fn forward_segmented(
         &self,
         inputs: &[&Tensor<f32>],
         segments: &SegmentTable,
     ) -> Result<Tensor<f32>, NnError> {
+        let ctx = ExecCtx {
+            segments: Some(segments),
+            ..ExecCtx::default()
+        };
+        self.forward_ctx(inputs, &ctx)
+    }
+
+    /// One extreme per segment, as an `[S, 1, 1, 1]` tensor — each
+    /// segment observed exactly as a solo batch would be — split into
+    /// spans on `ctx.pool`.
+    fn forward_ctx(
+        &self,
+        inputs: &[&Tensor<f32>],
+        ctx: &ExecCtx<'_>,
+    ) -> Result<Tensor<f32>, NnError> {
         check_arity(self.op_name(), inputs, 1)?;
-        observe_segments(inputs[0], segments, |(_, hi)| hi)
+        observe(inputs[0], ctx, if MAX { ops::max_of } else { ops::min_of })
     }
 }
 

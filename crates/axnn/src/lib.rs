@@ -42,4 +42,4 @@ mod error;
 
 pub use error::NnError;
 pub use graph::{Graph, NodeId};
-pub use layer::Layer;
+pub use layer::{ExecCtx, Layer};

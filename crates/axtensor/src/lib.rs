@@ -12,9 +12,11 @@
 //! - [`Tensor`]: a dense generic 4D tensor,
 //! - [`mod@im2col`]: the image-to-columns transform (phase (i) of the paper's
 //!   GEMM-based convolution),
-//! - [`ops`]: reference f32 matmul, direct convolution, element-wise ops
-//!   and min/max reductions (the paper's inserted `Min`/`Max` nodes),
-//! - [`rng`]: deterministic tensor fills for reproducible experiments.
+//! - [`ops`]: reference f32 matmul, direct convolution, and the min/max
+//!   reductions (the paper's inserted `Min`/`Max` nodes),
+//! - [`rng`]: deterministic tensor fills for reproducible experiments,
+//! - [`WorkerPool`] and [`pool::spans`]: the persistent worker pool and
+//!   the span rule every op split across it follows.
 //!
 //! # Example
 //!
@@ -33,6 +35,7 @@
 
 pub mod im2col;
 pub mod ops;
+pub mod pool;
 pub mod rng;
 pub mod segment;
 pub mod shape;
@@ -43,6 +46,7 @@ mod error;
 pub use error::TensorError;
 pub use im2col::{im2col, im2col_panels, PatchMatrix, PatchPanels};
 pub use ops::{Filter, Matrix};
+pub use pool::WorkerPool;
 pub use segment::SegmentTable;
 pub use shape::{ConvGeometry, FilterShape, Padding, Shape4};
 pub use tensor::Tensor;

@@ -3,7 +3,8 @@
 //! Everything here is the *golden model* the optimized backends (CPU GEMM,
 //! simulated GPU) are validated against in tests.
 
-use crate::{ConvGeometry, FilterShape, Tensor, TensorError};
+use crate::pool::{run_spans, spans};
+use crate::{ConvGeometry, FilterShape, Tensor, TensorError, WorkerPool};
 use serde::{Deserialize, Serialize};
 
 /// A dense row-major matrix.
@@ -330,7 +331,8 @@ pub fn min_max(t: &Tensor<f32>) -> (f32, f32) {
     min_max_slice(t.as_slice())
 }
 
-/// Minimum and maximum over a plain slice.
+/// Minimum and maximum over a plain slice, serially: the specification
+/// [`min_of`] and [`max_of`] reproduce.
 ///
 /// Returns `(0.0, 0.0)` for an empty slice and `(NaN, NaN)` if any
 /// element is NaN (see [`min_max`]).
@@ -354,31 +356,90 @@ pub fn min_max_slice(s: &[f32]) -> (f32, f32) {
     }
 }
 
-/// Element-wise sum of two tensors (residual connections).
+/// Accumulators of the lane-parallel [`min_of`] / [`max_of`] folds.
+const LANES: usize = 16;
+
+/// The minimum of `s`: bit-identical to `min_max_slice(s).0`, one pass
+/// that reads each value once, lane-parallel and split into spans on
+/// `pool` (see [`crate::pool::spans`]).
 ///
-/// # Errors
-///
-/// Returns [`TensorError::ShapeMismatch`] if shapes differ.
-pub fn add(a: &Tensor<f32>, b: &Tensor<f32>) -> Result<Tensor<f32>, TensorError> {
-    if a.shape() != b.shape() {
-        return Err(TensorError::ShapeMismatch {
-            a: a.shape(),
-            b: b.shape(),
-        });
-    }
-    let data = a
-        .as_slice()
-        .iter()
-        .zip(b.as_slice())
-        .map(|(x, y)| x + y)
-        .collect();
-    Tensor::from_vec(a.shape(), data)
+/// Empty gives 0.0 and any NaN gives NaN. On a tie the serial fold keeps
+/// the value it already holds, so when the minimum is ±0 the result is
+/// the first zero in scan order: `[1.0, -0.0, 0.0]` gives −0.0.
+#[must_use]
+pub fn min_of(s: &[f32], pool: Option<&WorkerPool>) -> f32 {
+    bound_of::<false>(s, pool)
 }
 
-/// Element-wise ReLU.
+/// The maximum of `s`, the counterpart of [`min_of`]: bit-identical to
+/// `min_max_slice(s).1`.
 #[must_use]
-pub fn relu(t: &Tensor<f32>) -> Tensor<f32> {
-    t.map(|&v| v.max(0.0))
+pub fn max_of(s: &[f32], pool: Option<&WorkerPool>) -> f32 {
+    bound_of::<true>(s, pool)
+}
+
+/// Whether `v` replaces `acc` in a `MAX` (or min) fold: strictly beyond,
+/// so a tie keeps the accumulator.
+#[inline(always)]
+fn beats<const MAX: bool>(v: f32, acc: f32) -> bool {
+    if MAX {
+        v > acc
+    } else {
+        v < acc
+    }
+}
+
+/// Fold each span, then fold the span results in span order the same
+/// way — exact, because each span already resolved a ±0 tie to its first
+/// zero, and the first span holding a zero holds the first zero overall.
+fn bound_of<const MAX: bool>(s: &[f32], pool: Option<&WorkerPool>) -> f32 {
+    let jobs: Vec<_> = spans(pool, s.len(), 1)
+        .into_iter()
+        .map(|span| {
+            let part = &s[span];
+            move || lane_bound::<MAX>(part)
+        })
+        .collect();
+    lane_bound::<MAX>(&run_spans(pool, jobs))
+}
+
+/// One span's extreme with [`LANES`] independent accumulators, so the
+/// compare-and-select vectorizes. A NaN is tracked apart, and a zero
+/// result is replaced by the span's first zero — the one the serial fold
+/// would have kept.
+fn lane_bound<const MAX: bool>(s: &[f32]) -> f32 {
+    let Some(&first) = s.first() else {
+        return 0.0;
+    };
+    let mut acc = [first; LANES];
+    let mut nan = [false; LANES];
+    let chunks = s.chunks_exact(LANES);
+    let tail = chunks.remainder();
+    for chunk in chunks {
+        for ((a, n), &v) in acc.iter_mut().zip(&mut nan).zip(chunk) {
+            *n |= v.is_nan();
+            if beats::<MAX>(v, *a) {
+                *a = v;
+            }
+        }
+    }
+    let mut saw_nan = nan.contains(&true);
+    let mut best = first;
+    for &v in acc.iter().chain(tail) {
+        saw_nan |= v.is_nan();
+        if beats::<MAX>(v, best) {
+            best = v;
+        }
+    }
+    if saw_nan {
+        f32::NAN
+    } else if best == 0.0 {
+        *s.iter()
+            .find(|&&v| v == 0.0)
+            .expect("the extreme is an element")
+    } else {
+        best
+    }
 }
 
 #[cfg(test)]
@@ -519,19 +580,6 @@ mod tests {
         assert!(lo.is_nan() && hi.is_nan());
         // Infinities are legitimate extremes, not NaNs.
         assert_eq!(min_max_slice(&[f32::INFINITY, 0.0]), (0.0, f32::INFINITY));
-    }
-
-    #[test]
-    fn relu_clamps_negatives() {
-        let t = Tensor::from_vec(Shape4::new(1, 1, 3, 1), vec![-1.0, 0.0, 2.0]).unwrap();
-        assert_eq!(relu(&t).as_slice(), &[0.0, 0.0, 2.0]);
-    }
-
-    #[test]
-    fn add_shape_checked() {
-        let a = Tensor::<f32>::zeros(Shape4::new(1, 2, 2, 1));
-        let b = Tensor::<f32>::zeros(Shape4::new(1, 2, 3, 1));
-        assert!(add(&a, &b).is_err());
     }
 
     #[test]

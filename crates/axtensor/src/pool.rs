@@ -1,14 +1,21 @@
-//! A persistent scoped worker pool for the host-side GEMM backend.
+//! A persistent scoped worker pool, and the span rule every split op
+//! follows.
 //!
-//! The host GEMM used to open a fresh `std::thread::scope` — spawning and
-//! joining OS threads — for **every chunk of every forward call**. Under
-//! repeated inference that thread churn is pure overhead. The pool here is
-//! spawned once per [`crate::EmuContext`] and reused for the context's
-//! whole lifetime; [`WorkerPool::run`] submits a batch of borrowing
-//! closures and blocks until all of them have executed, which is what
-//! makes lending stack references to long-lived workers sound.
+//! The pool is spawned once (per emulation context, or per serving
+//! engine) and reused for its whole lifetime; [`WorkerPool::run`] submits
+//! a batch of borrowing closures and blocks until all of them have
+//! executed, which is what makes lending stack references to long-lived
+//! workers sound.
+//!
+//! Element-wise layers, the range observers and the quantizing im2col cut
+//! their work into contiguous [`spans`] of whole units (pixels, patch
+//! rows): at most one span per pool thread, each of at least
+//! [`SPAN_GRAIN`] elements, and anything smaller runs inline. Every span
+//! computes exactly what the serial loop computes over its units, so the
+//! results do not depend on the thread count.
 
 use std::collections::VecDeque;
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -77,9 +84,9 @@ impl WorkerPool {
 
     /// Enqueue one `'static` job without waiting for it — the
     /// fire-and-forget counterpart of [`WorkerPool::run`], used by
-    /// long-lived residents such as the [`crate::serve::ServeEngine`]
-    /// shard loops. A panicking job is caught so the worker thread stays
-    /// alive for subsequent submissions.
+    /// long-lived residents such as a serving engine's shard loops. A
+    /// panicking job is caught so the worker thread stays alive for
+    /// subsequent submissions.
     ///
     /// # Panics
     ///
@@ -160,6 +167,74 @@ impl WorkerPool {
     }
 }
 
+/// Fewest elements one span of a split op holds; smaller work runs inline.
+pub const SPAN_GRAIN: usize = 16 * 1024;
+
+/// Cut `units` units of `unit_len` elements each into contiguous spans
+/// (ranges of units): at most one per thread of `pool`, each of at least
+/// [`SPAN_GRAIN`] elements. Without a pool, or below two grains, this is
+/// the one span `0..units`.
+#[must_use]
+pub fn spans(pool: Option<&WorkerPool>, units: usize, unit_len: usize) -> Vec<Range<usize>> {
+    let threads = pool.map_or(1, WorkerPool::threads);
+    let min_units = SPAN_GRAIN.div_ceil(unit_len.max(1));
+    let count = (units / min_units).clamp(1, threads);
+    (0..count)
+        .map(|i| units * i / count..units * (i + 1) / count)
+        .collect()
+}
+
+/// Split `data` into one mutable slice per span of [`spans`], each of
+/// `unit_len` elements per unit.
+///
+/// # Panics
+///
+/// Panics if the spans need more than `data.len()` elements.
+pub fn split_spans<'a, T>(
+    mut data: &'a mut [T],
+    spans: &[Range<usize>],
+    unit_len: usize,
+) -> Vec<&'a mut [T]> {
+    spans
+        .iter()
+        .map(|span| {
+            let (head, tail) = std::mem::take(&mut data).split_at_mut(span.len() * unit_len);
+            data = tail;
+            head
+        })
+        .collect()
+}
+
+/// Run `jobs` — one per span — on `pool` and return their results in
+/// span order. A single job, or no pool, runs on the calling thread.
+///
+/// # Panics
+///
+/// Panics if a job panicked (after all jobs have finished).
+pub fn run_spans<'env, R, F>(pool: Option<&WorkerPool>, jobs: Vec<F>) -> Vec<R>
+where
+    R: Send + 'env,
+    F: FnOnce() -> R + Send + 'env,
+{
+    let Some(pool) = pool else {
+        return jobs.into_iter().map(|job| job()).collect();
+    };
+    let mut results: Vec<Option<R>> = jobs.iter().map(|_| None).collect();
+    pool.run(
+        results
+            .iter_mut()
+            .zip(jobs)
+            .map(|(slot, job)| {
+                Box::new(move || *slot = Some(job())) as Box<dyn FnOnce() + Send + '_>
+            })
+            .collect(),
+    );
+    results
+        .into_iter()
+        .map(|r| r.expect("the pool ran every job"))
+        .collect()
+}
+
 impl Drop for WorkerPool {
     fn drop(&mut self) {
         if let Ok(mut queue) = self.state.queue.lock() {
@@ -197,6 +272,58 @@ fn worker_loop(state: &PoolState) {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
+
+    #[test]
+    fn spans_follow_the_grain_and_the_thread_count() {
+        let pool = WorkerPool::new(3);
+        // Below two grains: one span, whatever the pool.
+        assert_eq!(spans(Some(&pool), 31, 1024), vec![0..31]);
+        assert_eq!(spans(None, 1 << 20, 1), vec![0..1 << 20]);
+        assert_eq!(spans(Some(&pool), 0, 16), vec![0..0]);
+        // Two grains of 1-element units: two spans of one grain each.
+        assert_eq!(
+            spans(Some(&pool), 2 * SPAN_GRAIN, 1),
+            vec![0..SPAN_GRAIN, SPAN_GRAIN..2 * SPAN_GRAIN]
+        );
+        // Plenty of work: one span per thread, each whole units of at
+        // least a grain, covering every unit once.
+        for (units, unit_len) in [(1000, 64), (1001, 48), (7, 1 << 15)] {
+            let got = spans(Some(&pool), units, unit_len);
+            assert!(got.len() <= pool.threads());
+            assert_eq!(got.first().unwrap().start, 0);
+            assert_eq!(got.last().unwrap().end, units);
+            for pair in got.windows(2) {
+                assert_eq!(pair[0].end, pair[1].start);
+            }
+            if got.len() > 1 {
+                assert!(got.iter().all(|s| s.len() * unit_len >= SPAN_GRAIN));
+            }
+        }
+        assert_eq!(spans(Some(&pool), 1000, 64).len(), 3);
+        assert_eq!(spans(Some(&WorkerPool::new(1)), 1000, 64).len(), 1);
+    }
+
+    #[test]
+    fn run_spans_returns_results_in_span_order() {
+        let pool = WorkerPool::new(2);
+        let mut data = vec![0u32; 3 * SPAN_GRAIN];
+        let ranges = spans(Some(&pool), data.len(), 1);
+        assert_eq!(ranges.len(), 2);
+        let jobs: Vec<_> = split_spans(&mut data, &ranges, 1)
+            .into_iter()
+            .zip(&ranges)
+            .map(|(out, span)| {
+                move || {
+                    for (i, v) in out.iter_mut().enumerate() {
+                        *v = (span.start + i) as u32;
+                    }
+                    span.start
+                }
+            })
+            .collect();
+        assert_eq!(run_spans(Some(&pool), jobs), vec![0, ranges[1].start]);
+        assert!(data.iter().enumerate().all(|(i, &v)| v as usize == i));
+    }
 
     #[test]
     fn runs_borrowing_jobs_to_completion() {

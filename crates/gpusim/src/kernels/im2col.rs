@@ -18,7 +18,8 @@
 use super::{KernelRun, BLOCK_SIZE};
 use crate::{EventCounts, Phase};
 use axquant::QuantParams;
-use axtensor::{ConvGeometry, FilterShape, Matrix, Shape4, Tensor, TensorError};
+use axtensor::pool::{run_spans, spans, split_spans};
+use axtensor::{ConvGeometry, FilterShape, Matrix, Shape4, Tensor, TensorError, WorkerPool};
 use serde::{Deserialize, Serialize};
 
 /// How per-patch dequantization sums are accumulated.
@@ -44,11 +45,8 @@ pub struct QuantPatches {
     pub out_shape: Shape4,
 }
 
-/// Run the quantizing im2col over one input chunk.
-///
-/// Out-of-bounds taps quantize real 0, which the affine scheme represents
-/// exactly as the zero-point — so padding contributes `β₁` to `Sp` and is
-/// cancelled exactly by the Eq. 4 correction.
+/// Run the quantizing im2col over one input chunk, on the calling
+/// thread: [`im2col_quant_on`] without a pool.
 ///
 /// # Errors
 ///
@@ -60,16 +58,37 @@ pub fn im2col_quant(
     input_q: QuantParams,
     strategy: PatchSumStrategy,
 ) -> Result<KernelRun<QuantPatches>, TensorError> {
+    im2col_quant_on(chunk, filter, geom, input_q, strategy, None)
+}
+
+/// Run the quantizing im2col over one input chunk, split into spans of
+/// whole pixels (the quantize pass) and whole patch rows (the patch
+/// pass) on `pool` — see [`axtensor::pool::spans`].
+///
+/// Out-of-bounds taps quantize real 0, which the affine scheme represents
+/// exactly as the zero-point — so padding contributes `β₁` to `Sp` and is
+/// cancelled exactly by the Eq. 4 correction. Every span writes exactly
+/// the bytes and sums the serial pass writes, and counts its own reads,
+/// so the output and the modeled events do not depend on the pool.
+///
+/// # Errors
+///
+/// Propagates shape errors from [`ConvGeometry::output_shape`].
+pub fn im2col_quant_on(
+    chunk: &Tensor<f32>,
+    filter: FilterShape,
+    geom: ConvGeometry,
+    input_q: QuantParams,
+    strategy: PatchSumStrategy,
+    pool: Option<&WorkerPool>,
+) -> Result<KernelRun<QuantPatches>, TensorError> {
     let out = geom.output_shape(chunk.shape(), filter)?;
     let (pad_h, pad_w) = geom.pad_before(chunk.shape(), filter);
     let rows = out.n * out.h * out.w;
     let cols = filter.patch_len();
     let shape = chunk.shape();
+    let c = shape.c;
     let zero_q = input_q.quantize(0.0);
-
-    let mut data = vec![0u8; rows * cols];
-    let mut sums = vec![0i64; rows];
-    let mut in_bounds_reads = 0u64;
 
     // Quantize every input element exactly once up front. Overlapping
     // patches re-read the same pixel up to `filter.h × filter.w` times;
@@ -78,66 +97,86 @@ pub fn im2col_quant(
     // per-pixel channel-run sum, an exact i64 regrouping) is bit-identical
     // to quantizing in place. The modeled GPU event counts below stay on
     // the per-element-read accounting of the real kernel.
-    let mut qbytes = vec![0u8; chunk.as_slice().len()];
+    let src = chunk.as_slice();
+    let mut qbytes = vec![0u8; src.len()];
     let mut pixel_sums = vec![0i64; shape.n * shape.h * shape.w];
-    if shape.c > 0 {
-        for (pixel, (src, sum_slot)) in chunk
-            .as_slice()
-            .chunks_exact(shape.c)
-            .zip(qbytes.chunks_exact_mut(shape.c).zip(&mut pixel_sums))
-        {
-            let mut s = 0i64;
-            for (&v, slot) in pixel.iter().zip(src) {
-                let q = input_q.quantize(v);
-                *slot = (q & 0xFF) as u8;
-                s += i64::from(q);
+    let pixel_spans = spans(pool, pixel_sums.len(), c);
+    let jobs: Vec<_> = split_spans(&mut qbytes, &pixel_spans, c)
+        .into_iter()
+        .zip(split_spans(&mut pixel_sums, &pixel_spans, 1))
+        .zip(&pixel_spans)
+        .map(|((bytes, sums), span)| {
+            move || {
+                for (p, sum_slot) in sums.iter_mut().enumerate() {
+                    let pixel = span.start + p;
+                    let mut s = 0i64;
+                    for (&v, slot) in src[pixel * c..(pixel + 1) * c]
+                        .iter()
+                        .zip(&mut bytes[p * c..(p + 1) * c])
+                    {
+                        let q = input_q.quantize(v);
+                        *slot = (q & 0xFF) as u8;
+                        s += i64::from(q);
+                    }
+                    *sum_slot = s;
+                }
             }
-            *sum_slot = s;
-        }
-    }
+        })
+        .collect();
+    run_spans(pool, jobs);
 
-    let mut row = 0usize;
-    for n in 0..out.n {
-        for oy in 0..out.h {
-            for ox in 0..out.w {
-                let base = row * cols;
-                let mut col = 0usize;
-                let mut sum = 0i64;
-                for ky in 0..filter.h {
-                    let iy = (oy * geom.stride.0 + ky * geom.dilation.0) as isize - pad_h as isize;
-                    for kx in 0..filter.w {
-                        let ix =
-                            (ox * geom.stride.1 + kx * geom.dilation.1) as isize - pad_w as isize;
-                        let inside = iy >= 0
-                            && (iy as usize) < shape.h
-                            && ix >= 0
-                            && (ix as usize) < shape.w;
-                        if inside {
-                            in_bounds_reads += shape.c as u64;
-                            // NHWC: the channel run of one (n, y, x) pixel
-                            // is contiguous — copy its pre-quantized bytes
-                            // and fold its precomputed run sum (the real
-                            // kernel's coalesced read).
-                            let pixel = (n * shape.h + iy as usize) * shape.w + ix as usize;
-                            let src = pixel * shape.c;
-                            data[base + col..base + col + shape.c]
-                                .copy_from_slice(&qbytes[src..src + shape.c]);
-                            sum += pixel_sums[pixel];
-                            col += shape.c;
-                        } else {
-                            for slot in &mut data[base + col..base + col + shape.c] {
-                                *slot = (zero_q & 0xFF) as u8;
+    let mut data = vec![0u8; rows * cols];
+    let mut sums = vec![0i64; rows];
+    let row_spans = spans(pool, rows, cols);
+    let (qbytes, pixel_sums) = (&qbytes, &pixel_sums);
+    let jobs: Vec<_> = split_spans(&mut data, &row_spans, cols)
+        .into_iter()
+        .zip(split_spans(&mut sums, &row_spans, 1))
+        .zip(&row_spans)
+        .map(|((patches, patch_sums), span)| {
+            move || {
+                let mut in_bounds_reads = 0u64;
+                for (r, sum_slot) in patch_sums.iter_mut().enumerate() {
+                    let row = span.start + r;
+                    let (n, oy, ox) = (row / (out.h * out.w), (row / out.w) % out.h, row % out.w);
+                    let patch = &mut patches[r * cols..(r + 1) * cols];
+                    let mut col = 0usize;
+                    let mut sum = 0i64;
+                    for ky in 0..filter.h {
+                        let iy =
+                            (oy * geom.stride.0 + ky * geom.dilation.0) as isize - pad_h as isize;
+                        for kx in 0..filter.w {
+                            let ix = (ox * geom.stride.1 + kx * geom.dilation.1) as isize
+                                - pad_w as isize;
+                            let inside = iy >= 0
+                                && (iy as usize) < shape.h
+                                && ix >= 0
+                                && (ix as usize) < shape.w;
+                            if inside {
+                                in_bounds_reads += c as u64;
+                                // NHWC: the channel run of one (n, y, x)
+                                // pixel is contiguous — copy its
+                                // pre-quantized bytes and fold its
+                                // precomputed run sum (the real kernel's
+                                // coalesced read).
+                                let pixel = (n * shape.h + iy as usize) * shape.w + ix as usize;
+                                patch[col..col + c]
+                                    .copy_from_slice(&qbytes[pixel * c..(pixel + 1) * c]);
+                                sum += pixel_sums[pixel];
+                            } else {
+                                patch[col..col + c].fill((zero_q & 0xFF) as u8);
+                                sum += i64::from(zero_q) * c as i64;
                             }
-                            sum += i64::from(zero_q) * shape.c as i64;
-                            col += shape.c;
+                            col += c;
                         }
                     }
+                    *sum_slot = sum;
                 }
-                sums[row] = sum;
-                row += 1;
+                in_bounds_reads
             }
-        }
-    }
+        })
+        .collect();
+    let in_bounds_reads: u64 = run_spans(pool, jobs).into_iter().sum();
 
     let elements = (rows * cols) as u64;
     // Quantization work: one divide/round/clamp chain per element.

@@ -46,6 +46,6 @@ pub mod texture;
 pub use cost::EventCounts;
 pub use device::DeviceConfig;
 pub use kernels::gemm::approx_gemm;
-pub use kernels::im2col::{im2col_quant, PatchSumStrategy};
+pub use kernels::im2col::{im2col_quant, im2col_quant_on, PatchSumStrategy};
 pub use profile::{Phase, PhaseProfile};
 pub use texture::TextureCache;

@@ -27,7 +27,7 @@ use axmult::MulLut;
 use axquant::{FilterQuantization, QuantParams};
 use axtensor::{ops::Filter, ConvGeometry, Matrix, SegmentTable, Shape4, Tensor};
 use gpusim::kernels::gemm::approx_gemm;
-use gpusim::kernels::im2col::{im2col_quant, PatchSumStrategy};
+use gpusim::kernels::im2col::{im2col_quant, im2col_quant_on, PatchSumStrategy};
 use gpusim::kernels::minmax::reduction_events;
 use gpusim::{Phase, PhaseProfile};
 use std::borrow::Cow;
@@ -77,9 +77,8 @@ pub fn validate_range(lo: f32, hi: f32) -> Result<(), Error> {
 fn apply_bias(mut out: Tensor<f32>, bias: Option<&[f32]>) -> Tensor<f32> {
     if let Some(b) = bias {
         let c = out.shape().c;
-        // NHWC invariant: the channel is the fastest-varying dimension, so
-        // flat index i belongs to channel i % c. Tensor construction
-        // guarantees len == n*h*w*c, but the bias length is caller data —
+        // NHWC: the channel is the fastest-varying dimension, so each
+        // pixel is one run of `c` values. The bias length is caller data —
         // guard it so a mis-sized bias cannot silently rotate through the
         // wrong channels.
         assert_eq!(
@@ -88,12 +87,10 @@ fn apply_bias(mut out: Tensor<f32>, bias: Option<&[f32]>) -> Tensor<f32> {
             "bias length {} != output channel count {c}",
             b.len()
         );
-        debug_assert!(
-            out.as_slice().len().is_multiple_of(c.max(1)),
-            "non-NHWC buffer"
-        );
-        for (i, v) in out.as_mut_slice().iter_mut().enumerate() {
-            *v += b[i % c];
+        for pixel in out.as_mut_slice().chunks_exact_mut(c.max(1)) {
+            for (v, &bias) in pixel.iter_mut().zip(b) {
+                *v += bias;
+            }
         }
     }
     out
@@ -325,12 +322,19 @@ pub fn run_cpu_gemm_fused(
             if lo >= hi {
                 continue;
             }
-            let patches = im2col_quant(
-                &input.batch_slice(lo, hi - lo),
+            // A piece covering the whole batch reads `input` in place.
+            let piece = if hi - lo == n {
+                Cow::Borrowed(input)
+            } else {
+                Cow::Owned(input.batch_slice(lo, hi - lo))
+            };
+            let patches = im2col_quant_on(
+                &piece,
                 fs,
                 spec.geometry,
                 seg_q[s],
                 PatchSumStrategy::PrefixScan,
+                Some(ctx.pool()),
             )?
             .output;
             pieces.push((patches.matrix, patches.patch_sums));

@@ -8,8 +8,9 @@
 //!    [`axcircuit::builder`]/[`axcircuit::approx`], or parsed from the
 //!    textual format in [`axcircuit::text`].
 //! 2. Compile it here: the exhaustive 2¹⁶ sweep is sharded over the same
-//!    persistent [`WorkerPool`] that runs inference (this module implements
-//!    [`axcompile::Executor`] for it), verified against the golden sweep,
+//!    persistent [`WorkerPool`] that runs inference (through
+//!    [`PoolExecutor`], this module's [`axcompile::Executor`]), verified
+//!    against the golden sweep,
 //!    and characterized with hardware cost + error metrics.
 //! 3. [`CompiledMultiplier::register`] it, and the custom name resolves
 //!    everywhere a built-in does: [`crate::SessionBuilder::multiplier_named`],
@@ -32,17 +33,21 @@
 //! # }
 //! ```
 
-use crate::pool::WorkerPool;
 use axcircuit::Netlist;
+use axtensor::WorkerPool;
 
 pub use axcompile::{
     CompileError, CompileReport, CompileRequest, CompiledMultiplier, Executor, SerialExecutor,
 };
 pub use axmult::Signedness;
 
-impl Executor for WorkerPool {
+/// A [`WorkerPool`] as the compiler's [`Executor`].
+#[derive(Debug, Clone, Copy)]
+pub struct PoolExecutor<'a>(pub &'a WorkerPool);
+
+impl Executor for PoolExecutor<'_> {
     fn run_jobs<'env>(&self, jobs: Vec<Box<dyn FnOnce() + Send + 'env>>) {
-        self.run(jobs);
+        self.0.run(jobs);
     }
 }
 
@@ -99,7 +104,7 @@ pub fn compile_netlist(
 ) -> Result<CompiledMultiplier, CompileError> {
     CompileRequest::new(netlist, name, signedness)
         .with_shards(pool.threads() * 4)
-        .run(pool)
+        .run(&PoolExecutor(pool))
 }
 
 #[cfg(test)]

@@ -2,8 +2,8 @@
 //! cache, and the persistent worker pool.
 
 use crate::kernel::{auto_kernel, KernelKind, TileConfig};
-use crate::pool::WorkerPool;
 use crate::Error;
+use axtensor::WorkerPool;
 use gpusim::{DeviceConfig, EventCounts, PhaseProfile, TextureCache};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};

@@ -23,11 +23,10 @@
 
 use super::{lut_gemm_tiled_seg, TileConfig};
 use crate::accumulator::Accumulator;
-use crate::pool::WorkerPool;
 use crate::prepared::PreparedFilter;
 use axmult::MulLut;
 use axquant::QuantParams;
-use axtensor::{Matrix, SegmentTable};
+use axtensor::{Matrix, SegmentTable, WorkerPool};
 use std::fmt;
 
 /// One arm of the LUT-GEMM kernel family.

@@ -46,12 +46,11 @@ mod simd;
 pub use dispatch::{auto_kernel, available_kernels, KernelKind};
 
 use crate::accumulator::Accumulator;
-use crate::pool::WorkerPool;
 use crate::prepared::PreparedFilter;
 use crate::Error;
 use axmult::{MulLut, Signedness};
 use axquant::QuantParams;
-use axtensor::{Matrix, SegmentTable};
+use axtensor::{Matrix, SegmentTable, WorkerPool};
 use serde::{Deserialize, Serialize};
 
 /// Output positions per register micro-tile: the scalar microkernel

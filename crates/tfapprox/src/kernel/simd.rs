@@ -45,11 +45,10 @@
 
 use super::{check_seg_operands, KernelKind};
 use crate::accumulator::Accumulator;
-use crate::pool::WorkerPool;
 use crate::prepared::{PreparedFilter, SegmentEpilogue};
 use axmult::{MulLut, Signedness};
 use axquant::QuantParams;
-use axtensor::{Matrix, SegmentTable};
+use axtensor::{Matrix, SegmentTable, WorkerPool};
 use std::arch::x86_64::*;
 
 /// The segmented LUT GEMM on the SIMD arm `kernel` (`Avx2Gather` or

@@ -95,7 +95,6 @@ pub mod context;
 pub mod json;
 pub mod kernel;
 pub mod perfmodel;
-pub mod pool;
 pub mod prepared;
 pub mod serve;
 pub mod session;
@@ -107,10 +106,10 @@ mod runtime;
 pub use accumulator::Accumulator;
 pub use assignment::Assignment;
 pub use axconv2d::AxConv2D;
+pub use axtensor::WorkerPool;
 pub use context::{Backend, EmuContext};
 pub use error::Error;
 pub use kernel::{auto_kernel, available_kernels, KernelKind, TileConfig};
-pub use pool::WorkerPool;
 pub use prepared::PreparedFilter;
 pub use runtime::{run_accurate_cpu, EmulationReport};
 pub use serve::{
@@ -133,7 +132,6 @@ pub mod prelude {
     pub use crate::context::{Backend, EmuContext};
     pub use crate::error::Error;
     pub use crate::kernel::{available_kernels, KernelKind, TileConfig};
-    pub use crate::pool::WorkerPool;
     pub use crate::runtime::EmulationReport;
     pub use crate::serve::{
         ServeConfig, ServeEngine, ServeStats, SessionKey, SessionRegistry, TenantServeStats, Ticket,
@@ -141,4 +139,5 @@ pub mod prelude {
     pub use crate::session::{Session, SessionBuilder};
     pub use crate::sweep::sweep_uniform;
     pub use axmult::{AxMultiplier, Signedness};
+    pub use axtensor::WorkerPool;
 }

@@ -9,7 +9,7 @@
 use crate::json;
 use crate::kernel::dispatch;
 use crate::{Accumulator, Backend, EmuContext, Error};
-use axnn::Graph;
+use axnn::{ExecCtx, Graph};
 use axtensor::Tensor;
 use gpusim::{Phase, PhaseProfile};
 use std::time::Instant;
@@ -140,6 +140,10 @@ pub fn run_approx(
     accumulator: Accumulator,
 ) -> Result<(Vec<Tensor<f32>>, EmulationReport), Error> {
     ctx.reset_profile();
+    let exec = ExecCtx {
+        pool: Some(ctx.pool()),
+        segments: None,
+    };
     let mut outputs = Vec::with_capacity(batches.len());
     let mut images = 0usize;
     let mut dataset_bytes = 0u64;
@@ -147,7 +151,7 @@ pub fn run_approx(
     for batch in batches {
         images += batch.shape().n;
         dataset_bytes += batch.shape().len() as u64 * 4;
-        outputs.push(graph.forward(batch)?);
+        outputs.push(graph.run(batch, &exec)?);
     }
     let wall_s = wall.elapsed().as_secs_f64();
 

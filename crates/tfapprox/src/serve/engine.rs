@@ -3,9 +3,8 @@
 
 use super::histogram::LatencyHistogram;
 use super::registry::{SessionKey, SessionRegistry};
-use crate::pool::WorkerPool;
 use crate::{Error, Session};
-use axtensor::Tensor;
+use axtensor::{Tensor, WorkerPool};
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};

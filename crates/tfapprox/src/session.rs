@@ -8,7 +8,7 @@ use crate::{
     TileConfig,
 };
 use axmult::AxMultiplier;
-use axnn::Graph;
+use axnn::{ExecCtx, Graph};
 use axtensor::{SegmentTable, Tensor};
 use gpusim::DeviceConfig;
 use std::sync::Arc;
@@ -334,7 +334,7 @@ impl Session {
     ///
     /// Propagates graph execution failures.
     pub fn infer(&self, input: &Tensor<f32>) -> Result<Tensor<f32>, Error> {
-        Ok(self.graph.forward(input)?)
+        Ok(self.graph.run(input, &self.exec(None))?)
     }
 
     /// Run several independent requests through the compiled graph as
@@ -364,7 +364,7 @@ impl Session {
         let counts: Vec<usize> = requests.iter().map(|t| t.shape().n).collect();
         let segments = SegmentTable::from_counts(&counts);
         let fused = Tensor::concat_batch(requests)?;
-        let out = self.graph.forward_segmented(&fused, &segments)?;
+        let out = self.graph.run(&fused, &self.exec(Some(&segments)))?;
         Ok(segments
             .iter()
             .map(|(start, end)| out.batch_slice(start, end - start))
@@ -390,6 +390,15 @@ impl Session {
         batches: &[Tensor<f32>],
     ) -> Result<(Vec<Tensor<f32>>, EmulationReport), Error> {
         runtime::run_approx(&self.graph, batches, &self.ctx, self.accumulator)
+    }
+
+    /// The execution context of one graph run: the context's worker pool,
+    /// which the non-conv layers split their work across too.
+    fn exec<'a>(&'a self, segments: Option<&'a SegmentTable>) -> ExecCtx<'a> {
+        ExecCtx {
+            pool: Some(self.ctx.pool()),
+            segments,
+        }
     }
 
     /// Recompile with a new multiplier [`Assignment`], **reusing the

@@ -28,7 +28,7 @@
 
 use axmult::Signedness;
 use std::process::ExitCode;
-use tfapprox::compile::{CompileRequest, CompiledMultiplier};
+use tfapprox::compile::{CompileRequest, CompiledMultiplier, PoolExecutor};
 use tfapprox::WorkerPool;
 
 const USAGE: &str = "usage: tfapprox-compile <netlist-file | - | --import <file.bin>> \
@@ -159,7 +159,7 @@ fn run(opts: &Options) -> Result<(), Box<dyn std::error::Error>> {
     let shards = opts.shards.unwrap_or(pool.threads() * 4);
     let compiled: CompiledMultiplier = CompileRequest::new(&netlist, &name, opts.signedness)
         .with_shards(shards)
-        .run(&pool)?;
+        .run(&PoolExecutor(&pool))?;
 
     let report = compiled.report();
     println!("{name}: {} gates, depth {}", report.gates, report.depth);
